@@ -11,9 +11,9 @@
 //
 // The benchmark set mirrors BenchmarkEngines (all four execution engines on
 // the same BarabasiAlbert coreness run — the net rows measure the wire
-// protocol over in-memory pipes and over real unix sockets, and the stream
-// rows the PR 10 worker↔worker mesh, whose per-worker wire totals land in
-// the row's stream_wire summary), the prod-scale
+// protocol, worker↔worker mesh included, over in-memory pipes and over real
+// unix sockets, and the pipe rows' per-worker wire totals land in the row's
+// stream_wire summary), the prod-scale
 // rows (PR 8: seq vs the worker pool vs the 4-shard cluster on one
 // BarabasiAlbert coreness run at -prodn nodes, 10⁶ by default — the scale
 // the worker-pool rewrite is for; 0 disables them), the substrate
@@ -32,8 +32,9 @@
 // run are recorded on the row. The timed numbers are never contaminated —
 // attribution is a separate run — and the bytes columns are deterministic,
 // so the report says *where* an engine's wire bytes and wall time go (the
-// net rows expose the coordinator relay funnel; the session rows split an
-// epoch into repair, rebalance and publish). -trace additionally exports
+// net rows split a round into send, recv, barrier waits and the
+// coordinator's verify; the session rows split an epoch into repair,
+// rebalance and publish). -trace additionally exports
 // the whole attribution pass — every engine plus the session epochs, one
 // clock — as Chrome trace-event JSON.
 package main
@@ -70,11 +71,12 @@ type Result struct {
 	Wire     *StreamWireRow   `json:"stream_wire,omitempty"`
 }
 
-// StreamWireRow summarizes a streamed row's data-plane load (PR 10): how
+// StreamWireRow summarizes a net row's data-plane load (PR 10): how
 // many bytes the busiest worker put on mesh links, the cluster total, and
 // how much of it was hypercube relay on behalf of third parties. The
 // numbers are deterministic, so they are comparable across reports — the
-// max_worker_bytes column is the one the coordinator-funnel claim rides on.
+// max_worker_bytes column is the one the funnel-shrink gate against the
+// retired coordinator relay (BENCH_PR7) rides on.
 type StreamWireRow struct {
 	MaxWorkerBytes int64 `json:"max_worker_bytes"`
 	TotalBytes     int64 `json:"total_bytes"`
@@ -144,15 +146,13 @@ func main() {
 	// row's phase totals are the delta over its own attribution run.
 	tr := obs.NewTracer()
 
+	// The net rows carry round traffic worker↔worker over the mesh. net4
+	// runs the full mesh (over pipes and over unix sockets); net16 sits at
+	// the default threshold and so exercises hypercube relay.
+	net4 := dnet.NewEngine(4, shard.Greedy{})
 	unixNet := dnet.NewEngine(4, shard.Greedy{})
 	unixNet.Transport = dnet.TransportUnix
-	// PR 10 stream rows: same workload, round frames carried worker↔worker
-	// instead of through the coordinator funnel. net4 runs the full mesh;
-	// net16 sits at the default threshold and so exercises hypercube relay.
-	streamNet4 := dnet.NewEngine(4, shard.Greedy{})
-	streamNet4.Stream = true
-	streamNet16 := dnet.NewEngine(16, shard.Hash{})
-	streamNet16.Stream = true
+	net16 := dnet.NewEngine(16, shard.Hash{})
 	engines := []struct {
 		name string
 		eng  dist.Engine
@@ -161,10 +161,9 @@ func main() {
 		{"engines/par", dist.ParEngine{}},
 		{"engines/shard4-greedy", shard.NewEngine(4, shard.Greedy{})},
 		{"engines/shard16-hash", shard.NewEngine(16, shard.Hash{})},
-		{"engines/net4-greedy-pipe", dnet.NewEngine(4, shard.Greedy{})},
+		{"engines/net4-greedy-pipe", net4},
 		{"engines/net4-greedy-unix", unixNet},
-		{"engines/net4-greedy-stream", streamNet4},
-		{"engines/net16-hash-stream", streamNet16},
+		{"engines/net16-hash-stream", net16},
 	}
 	for _, c := range engines {
 		c := c
@@ -177,8 +176,8 @@ func main() {
 			core.RunDistributed(g, core.Options{Rounds: T}, cliutil.Traced(c.eng, tr))
 		})
 	}
-	rep.wire("engines/net4-greedy-stream", streamNet4)
-	rep.wire("engines/net16-hash-stream", streamNet16)
+	rep.wire("engines/net4-greedy-pipe", net4)
+	rep.wire("engines/net16-hash-stream", net16)
 
 	// Prod-scale rows (PR 8): the workload the worker-pool rewrite exists
 	// for — one coreness run at -prodn nodes on the three engines a single

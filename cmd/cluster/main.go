@@ -5,8 +5,8 @@
 // dist.Metrics — is byte-identical to the single-process sequential
 // engine, which -verify checks on the spot.
 //
-// Start workers first (each listens for exactly one coordinator
-// connection), then the coordinator:
+// Start workers first (each listens for one coordinator connection plus
+// its peers' mesh links, on the same address), then the coordinator:
 //
 //	cluster worker -listen unix:/tmp/dkc-w0.sock
 //	cluster worker -listen unix:/tmp/dkc-w1.sock
@@ -31,13 +31,15 @@
 // (-listen tcp:127.0.0.1:7001), but the protocol has no authentication or
 // encryption: keep it on localhost or a trusted link.
 //
-// With -stream (unix sockets only) round frames travel directly
-// worker↔worker over a mesh of data sockets at <control path>.mesh —
-// full mesh for small clusters, hypercube relay above the threshold —
-// while the coordinator shrinks to a round barrier and digest-matrix
-// verifier (DESIGN.md §14). The execution, ledger included, stays
-// byte-identical; -recover composes with it (the mesh falls back to full
-// topology so retained flows survive any single death).
+// Round traffic travels directly worker↔worker over a mesh of data
+// connections — full mesh for small clusters, hypercube relay above the
+// threshold — while the coordinator is a round barrier and digest-matrix
+// verifier that never sees a frame (DESIGN.md §14). Mesh links dial the
+// same -listen address the coordinator does; the first record on a
+// connection tells the worker which kind it is. With -recover a dead worker
+// is re-exec'd on its shard's original address, so coordinator and peers
+// reach the new incarnation where they reached the old one (the mesh falls
+// back to full topology so retained flows survive any single death).
 package main
 
 import (
@@ -87,7 +89,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   cluster worker -listen unix:/path.sock|tcp:host:port [-session]
-  cluster coord  (-workers addr,addr,... | -spawn P) -gen ba -n 10000 [-seed S] [-eps E | -T T] [-lambda L] [-part NAME] [-churn OPS[:SEED] [-budget M]] [-stream] [-recover] [-kill W:R] [-verify] [-json FILE] [-trace FILE]
+  cluster coord  (-workers addr,addr,... | -spawn P) -gen ba -n 10000 [-seed S] [-eps E | -T T] [-lambda L] [-part NAME] [-churn OPS[:SEED] [-budget M]] [-recover] [-kill W:R] [-verify] [-json FILE] [-trace FILE]
   cluster serve  (-workers addr,addr,... | -spawn P) -control unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] [-part NAME] [-trace FILE] [-debug-addr host:port]
   cluster push   -connect unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] -epochs E [-ops N] [-churnseed S] [-budget M] [-verify] [-shutdown]
   cluster sub    -connect unix:/path.sock -topics coreness:5,topk:3 [-count N]
@@ -109,13 +111,14 @@ func splitAddr(s string) (network, addr string, err error) {
 }
 
 // runWorker serves exactly one coordinated run: accept the coordinator,
-// resolve the inputs its hello describes, run the protocol as this shard,
-// ship the local result values, exit.
+// resolve the inputs its hello describes, run the protocol as this shard
+// (its mesh links arriving on the same listener), ship the local result
+// values, exit.
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("cluster worker", flag.ExitOnError)
-	listen := fs.String("listen", "unix:/tmp/dkc-worker.sock", "address to await the coordinator on")
+	listen := fs.String("listen", "unix:/tmp/dkc-worker.sock", "address to await the coordinator and the mesh peers on")
 	sess := fs.Bool("session", false, "stay alive after the run and serve session epochs (DESIGN.md §10)")
-	meshGen := fs.Int("mesh-gen", 0, "mesh incarnation number for streamed respawns (set by the coordinator's respawn path, not by hand)")
+	meshGen := fs.Int("mesh-gen", 0, "mesh incarnation number of a respawned worker (set by the coordinator's respawn path, not by hand)")
 	fs.Parse(args)
 
 	network, addr, err := splitAddr(*listen)
@@ -125,12 +128,12 @@ func runWorker(args []string) {
 	if network == "unix" {
 		os.Remove(addr) // a stale socket file from a previous run refuses the Listen
 	}
-	ln, err := net.Listen(network, addr)
+	ln, err := dnet.Listen(network, addr)
 	if err != nil {
 		fatal(err)
 	}
 	defer ln.Close()
-	nc, err := ln.Accept()
+	nc, err := ln.AcceptCoordinator()
 	if err != nil {
 		fatal(err)
 	}
@@ -171,40 +174,23 @@ func runWorker(args []string) {
 	w.Hello = h
 	w.Part = part // the churn rebalance, when the hello announces a delta
 
-	// Streamed delivery (DESIGN.md §14): the hello carries every shard's
-	// mesh endpoint; this worker binds its own (stable across respawns, so
-	// peers always dial the same per-shard address) and hands raw dial and
-	// accept closures to the mesh — link identity travels in the mesh hello
-	// record, not in the address.
-	if h.Stream {
-		maddrs := strings.Split(h.MeshSpec, ",")
-		if len(maddrs) != h.P {
-			fatalTell(c, fmt.Errorf("mesh spec names %d endpoints for %d workers", len(maddrs), h.P))
-		}
-		network, maddr, err := splitAddr(maddrs[h.Shard])
-		if err != nil {
-			fatalTell(c, err)
-		}
-		if network != "unix" {
-			fatalTell(c, fmt.Errorf("streamed delivery needs unix mesh sockets, got %q", maddrs[h.Shard]))
-		}
-		os.Remove(maddr) // a respawn rebinds the dead incarnation's address
-		mln, err := net.Listen(network, maddr)
-		if err != nil {
-			fatalTell(c, err)
-		}
-		defer mln.Close()
-		w.MeshDial = func(dst int) (net.Conn, error) {
-			nw, a, err := splitAddr(maddrs[dst])
-			if err != nil {
-				return nil, err
-			}
-			return net.Dial(nw, a)
-		}
-		w.MeshAccept = mln.Accept
-		w.MeshClose = func() { mln.Close() }
-		w.MeshGen = *meshGen
+	// The mesh (DESIGN.md §14): the hello names every shard's address, and
+	// peers dial this worker's own listener — link identity travels in the
+	// mesh hello record, not in the address.
+	maddrs := strings.Split(h.MeshSpec, ",")
+	if len(maddrs) != h.P {
+		fatalTell(c, fmt.Errorf("mesh spec names %d endpoints for %d workers", len(maddrs), h.P))
 	}
+	w.MeshDial = func(dst int) (net.Conn, error) {
+		nw, a, err := splitAddr(maddrs[dst])
+		if err != nil {
+			return nil, err
+		}
+		return net.Dial(nw, a)
+	}
+	w.MeshAccept = ln.AcceptMesh
+	w.MeshClose = func() { ln.Close() }
+	w.MeshGen = *meshGen
 
 	// The worker side of the protocol is just core.RunDistributed with the
 	// Worker as its engine — the same driver stack every other engine runs
@@ -269,7 +255,6 @@ func runCoord(args []string) {
 		churn    = fs.String("churn", "", cliutil.ChurnUsage)
 		budget   = fs.Int("budget", 0, "rebalance move budget under -churn (0 = whole frontier)")
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
-		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator")
 		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): workers checkpoint every round and a dead worker is re-exec'd and restored instead of failing the run (requires -spawn)")
 		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W at the top of round R, the fault-injection half of the recovery smoke (requires -spawn)")
 		jsonOut  = fs.String("json", "", "write a JSON run report to this file")
@@ -321,7 +306,7 @@ func runCoord(args []string) {
 	runErr := func() error {
 		var addrs []string
 		// spawnWorker starts one worker subprocess listening on a; the
-		// respawn path reuses it with a fresh socket name and extra flags.
+		// respawn path reuses it on the shard's address with extra flags.
 		spawnWorker := func(a string, extra ...string) (*exec.Cmd, error) {
 			exe, err := os.Executable()
 			if err != nil {
@@ -357,23 +342,6 @@ func runCoord(args []string) {
 		if *killSpec != "" && killW >= p {
 			return fmt.Errorf("-kill worker %d of %d", killW, p)
 		}
-		// Mesh endpoints derive from the control sockets: shard i's data
-		// plane lives at <control path>.mesh, stable across respawns.
-		var meshSpec string
-		if *stream {
-			ms := make([]string, 0, p)
-			for _, a := range addrs {
-				network, path, err := splitAddr(a)
-				if err != nil {
-					return err
-				}
-				if network != "unix" {
-					return fmt.Errorf("-stream derives mesh endpoints from unix control sockets; %q is not one", a)
-				}
-				ms = append(ms, "unix:"+path+".mesh")
-			}
-			meshSpec = strings.Join(ms, ",")
-		}
 		assign := part.Partition(g, p)
 		// Under -churn the run executes on the mutated graph with the
 		// incrementally rebalanced assignment; the handshake pins both and
@@ -406,8 +374,8 @@ func runCoord(args []string) {
 			}
 		}
 
-		// The tracer sees the coordinator's side only — barrier waits, frame
-		// relays and the funnel's flow matrix; worker timelines live in the
+		// The tracer sees the coordinator's side only — barrier waits, digest
+		// verification and the flow matrix; worker timelines live in the
 		// worker processes.
 		var tracer *obs.Tracer
 		if *traceOut != "" {
@@ -426,34 +394,33 @@ func runCoord(args []string) {
 			Delta:      delta,
 			MoveBudget: *budget,
 			Trace:      tracer,
-			Stream:     *stream,
-			MeshSpec:   meshSpec,
+			MeshSpec:   strings.Join(addrs, ","),
 		}
 		if *recov {
 			rspec.Recover = true
 			rspec.IOTimeout = 30 * time.Second
-			// Respawn re-execs the worker binary on a fresh socket in the run
-			// directory; the coordinator then re-handshakes and restores it
-			// from its last retained checkpoint. Called from the coordinator
-			// goroutine, so appending to procs is race-free.
-			respawns := 0
+			// Respawn re-execs the worker binary on the shard's own address —
+			// the one its peers' mesh spec names; the coordinator then
+			// re-handshakes and restores it from its last retained
+			// checkpoint. Called from the coordinator goroutine, so appending
+			// to procs is race-free.
 			meshGens := make([]int, p)
 			rspec.Respawn = func(s int) (*dnet.Conn, error) {
-				respawns++
-				a := fmt.Sprintf("unix:%s", filepath.Join(dir, fmt.Sprintf("w%d-r%d.sock", s, respawns)))
-				var extra []string
-				if *stream {
-					// Mesh-generation contract (dnet.Spec.Respawn): the new
-					// incarnation's gen is the per-shard respawn count, so
-					// peers can tell its links from the dead one's.
-					meshGens[s]++
-					extra = append(extra, "-mesh-gen", strconv.Itoa(meshGens[s]))
-				}
-				if _, err := spawnWorker(a, extra...); err != nil {
-					return nil, err
-				}
+				a := addrs[s]
 				network, addr, err := splitAddr(a)
 				if err != nil {
+					return nil, err
+				}
+				if network == "unix" {
+					// Unlink the dead incarnation's socket first, so the dial
+					// below can only reach the new one.
+					os.Remove(addr)
+				}
+				// Mesh-generation contract (dnet.Spec.Respawn): the new
+				// incarnation's gen is the per-shard respawn count, so peers
+				// can tell its links from the dead one's.
+				meshGens[s]++
+				if _, err := spawnWorker(a, "-mesh-gen", strconv.Itoa(meshGens[s])); err != nil {
 					return nil, err
 				}
 				nc, err := dialRetry(network, addr, 5*time.Second)
@@ -504,7 +471,7 @@ func runCoord(args []string) {
 		sm := rep.Sharding
 		fmt.Printf("  cluster: cut=%.3f crossMsgs=%d frameBytes=%d maxShardBytes=%d\n",
 			sm.EdgeCutFraction, sm.CrossMessages, sm.CrossFrameBytes, sm.MaxShardBytes)
-		if *stream && len(rep.StreamWire) > 0 {
+		if len(rep.StreamWire) > 0 {
 			var tot, max, relayed, chunks int64
 			for _, sw := range rep.StreamWire {
 				v := sw.Sent + sw.Relayed

@@ -131,6 +131,7 @@ func runServe(args []string) {
 			WantValues: true,
 			IOTimeout:  *timeout,
 			Trace:      tracer,
+			MeshSpec:   strings.Join(addrs, ","),
 		})
 		if err != nil {
 			return err

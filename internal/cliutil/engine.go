@@ -12,7 +12,7 @@ import (
 
 // EngineUsage is the -engine flag help text shared by cmd/kcore and
 // cmd/repro.
-const EngineUsage = "execution engine: seq | par[:W] | shard:P[:hash|range|greedy] | net:P[:part[:pipe|unix|tcp]][:stream] (par workers default: GOMAXPROCS; partitioner default: greedy)"
+const EngineUsage = "execution engine: seq | par[:W] | shard:P[:hash|range|greedy] | net:P[:part[:pipe|unix|tcp]] (par workers default: GOMAXPROCS; partitioner default: greedy)"
 
 // ParsePartitioner resolves a partitioner name. It is the single place
 // partitioner names are spelled, shared by the -engine flag, cmd/cluster's
@@ -37,9 +37,8 @@ func ParsePartitioner(name string) (shard.Partitioner, error) {
 // "net:P[:partitioner[:transport]]" the
 // socket-cluster engine — P workers speaking the real wire protocol over
 // net.Pipe, unix-domain or TCP loopback connections (transport defaults to
-// pipe; cmd/cluster is the multi-process form). A trailing ":stream" on a
-// net spec switches round delivery to the direct worker↔worker mesh
-// (DESIGN.md §14) instead of relaying every frame through the coordinator.
+// pipe; cmd/cluster is the multi-process form); round traffic streams
+// worker↔worker over the mesh (DESIGN.md §14).
 // Partitioners default to greedy — the one worth deploying.
 func ParseEngine(spec string) (dist.Engine, error) {
 	s := strings.ToLower(strings.TrimSpace(spec))
@@ -51,11 +50,6 @@ func ParseEngine(spec string) (dist.Engine, error) {
 	}
 	parts := strings.Split(s, ":")
 	kind := parts[0]
-	stream := false
-	if kind == "net" && len(parts) > 1 && parts[len(parts)-1] == "stream" {
-		stream = true
-		parts = parts[:len(parts)-1]
-	}
 	if kind == "par" {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("unknown engine %q (want %s)", spec, EngineUsage)
@@ -90,7 +84,6 @@ func ParseEngine(spec string) (dist.Engine, error) {
 		return shard.NewEngine(p, part), nil
 	}
 	eng := dnet.NewEngine(p, part)
-	eng.Stream = stream
 	if len(parts) == 4 {
 		switch parts[3] {
 		case dnet.TransportPipe, dnet.TransportUnix, dnet.TransportTCP:

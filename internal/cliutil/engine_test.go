@@ -10,26 +10,22 @@ import (
 
 func TestParseEngine(t *testing.T) {
 	for spec, want := range map[string]string{
-		"":                         "seq",
-		"seq":                      "seq",
-		"par":                      "par",
-		" Par ":                    "par",
-		"par:8":                    "par:8",
-		"PAR:2":                    "par:2",
-		"shard:4":                  "shard:4/greedy",
-		"shard:16:hash":            "shard:16/hash",
-		"shard:2:range":            "shard:2/range",
-		"shard:8:greedy":           "shard:8/greedy",
-		"SHARD:3:GREEDY":           "shard:3/greedy",
-		"net:4":                    "net:4/greedy",
-		"net:2:hash":               "net:2/hash",
-		"net:3:greedy:unix":        "net:3/greedy/unix",
-		"net:3:range:tcp":          "net:3/range/tcp",
-		"net:8:hash:pipe":          "net:8/hash",
-		"net:4:stream":             "net:4/greedy/stream",
-		"net:2:hash:stream":        "net:2/hash/stream",
-		"net:3:greedy:unix:stream": "net:3/greedy/unix/stream",
-		"NET:4:HASH:STREAM":        "net:4/hash/stream",
+		"":                  "seq",
+		"seq":               "seq",
+		"par":               "par",
+		" Par ":             "par",
+		"par:8":             "par:8",
+		"PAR:2":             "par:2",
+		"shard:4":           "shard:4/greedy",
+		"shard:16:hash":     "shard:16/hash",
+		"shard:2:range":     "shard:2/range",
+		"shard:8:greedy":    "shard:8/greedy",
+		"SHARD:3:GREEDY":    "shard:3/greedy",
+		"net:4":             "net:4/greedy",
+		"net:2:hash":        "net:2/hash",
+		"net:3:greedy:unix": "net:3/greedy/unix",
+		"net:3:range:tcp":   "net:3/range/tcp",
+		"net:8:hash:pipe":   "net:8/hash",
 	} {
 		eng, err := ParseEngine(spec)
 		if err != nil {
@@ -57,6 +53,8 @@ func TestParseEngine(t *testing.T) {
 		"shard", "shard:0", "shard:x", "shard:4:metis", "shard:4:hash:extra",
 		"net", "net:0", "net:x", "net:4:metis", "net:4:hash:udp", "net:4:hash:pipe:extra",
 		"net:stream", "net:4:hash:pipe:stream:extra", "shard:4:stream", "par:stream",
+		// Streaming is the only net data plane; the old ":stream" suffix is gone.
+		"net:4:stream", "net:2:hash:stream", "net:3:greedy:unix:stream", "NET:4:HASH:STREAM",
 	} {
 		if _, err := ParseEngine(bad); err == nil {
 			t.Fatalf("%q must not parse", bad)

@@ -2,10 +2,10 @@ package codec
 
 // This file carries the transport-layer encodings the real-socket cluster
 // engine (internal/net) speaks: a length-prefixed record framing and the
-// handshake records (Hello, Welcome) exchanged before a run. The frame
-// payloads inside the records reuse FrameHeader and the per-message body
-// codec of internal/shard, so the bytes a socket carries are the same bytes
-// the in-process sharded engine accounts. DESIGN.md §8 is the normative
+// handshake records (Hello, Welcome) exchanged before a run. The chunk
+// payloads on the worker mesh reuse the per-message body codec of
+// internal/shard and are priced with its FrameHeader, so the ledger a
+// socket run reports is the one the in-process sharded engine accounts. DESIGN.md §8 is the normative
 // wire-protocol spec.
 
 import (
@@ -106,21 +106,19 @@ type Hello struct {
 	// its driver state after every delivery and must honor Resume/Replay
 	// records after a re-admission handshake.
 	Recover bool
-	// Stream switches round delivery to direct worker↔worker frame
-	// streaming over a mesh of data connections (DESIGN.md §14); the
-	// coordinator then acts only as a round barrier and digest verifier.
-	Stream bool
-	// MeshKind selects the mesh topology when Stream is set: MeshFull or
-	// MeshCube. Every worker must agree (relay routing depends on it), so
-	// the coordinator decides and the hello pins it.
+	// MeshKind selects the topology of the worker↔worker mesh that carries
+	// round traffic (DESIGN.md §14): MeshFull or MeshCube. Every worker
+	// must agree (relay routing depends on it), so the coordinator decides
+	// and the hello pins it.
 	MeshKind byte
-	// Window is the per-peer flow-control window when Stream is set: the
-	// number of unacknowledged chunks a worker may have in flight toward
-	// each peer (0 means the protocol default).
+	// Window is the per-peer flow-control window: the number of
+	// unacknowledged chunks a worker may have in flight toward each peer
+	// (0 means the protocol default).
 	Window int
-	// MeshSpec names the workers' mesh listen addresses (comma-joined,
-	// indexed by shard) for multi-process clusters; empty in-process, where
-	// the engine wires the mesh through an in-memory broker.
+	// MeshSpec names the workers' listen addresses (comma-joined, indexed
+	// by shard) for multi-process clusters, where mesh links share each
+	// worker's coordinator listener; empty in-process, where the engine
+	// wires the mesh through an in-memory broker.
 	MeshSpec string
 }
 
@@ -141,9 +139,10 @@ const (
 // DeltaDigest and the delta record of the churn protocol (DESIGN.md §9);
 // version 3 added Hello.Recover and the checkpoint/resume/replay records of
 // the crash-recovery protocol (DESIGN.md §13); version 4 added the streamed
-// delivery fields (Stream, MeshKind, Window, MeshSpec) and the mesh record
-// types of DESIGN.md §14.
-const HandshakeVersion = 4
+// delivery fields and the mesh record types of DESIGN.md §14; version 5
+// made the mesh the only round delivery — Hello.Stream is gone, and the
+// coordinator-relay records 4, 5, 6 and 21 are retired.
+const HandshakeVersion = 5
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {
@@ -162,7 +161,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendString(dst, h.ProtoSpec)
 	dst = appendBool(dst, h.WantValues)
 	dst = appendBool(dst, h.Recover)
-	dst = appendBool(dst, h.Stream)
 	dst = append(dst, h.MeshKind)
 	dst = binary.AppendUvarint(dst, uint64(h.Window))
 	return appendString(dst, h.MeshSpec)
@@ -187,7 +185,6 @@ func DecodeHello(src []byte) (Hello, int, error) {
 	h.ProtoSpec = d.string()
 	h.WantValues = d.byte() != 0
 	h.Recover = d.byte() != 0
-	h.Stream = d.byte() != 0
 	h.MeshKind = d.byte()
 	h.Window = int(d.uvarint())
 	h.MeshSpec = d.string()

@@ -3,7 +3,7 @@ package codec
 // Wire encodings of the crash-recovery protocol (DESIGN.md §13): the
 // per-round Checkpoint a worker ships after every delivery, the Resume
 // record the coordinator sends to a re-admitted worker, and the Replay
-// header that precedes a re-sent round of relayed frames.
+// record that announces one catch-up round to it.
 
 import (
 	"encoding/binary"
@@ -11,9 +11,10 @@ import (
 )
 
 // Checkpoint is the worker→coordinator record sealing one round: the round
-// it completed, the running digest over every relayed frame it has received
-// (FNV-1a fold, coordinator-verified), its cumulative metrics counters, and
-// the driver snapshot of its local nodes (dist.Driver.AppendSnapshot).
+// it completed, the running chain over the per-round digests of every flow
+// it has received (FNV-1a fold, coordinator-verified), its cumulative
+// metrics counters, and the driver snapshot of its local nodes
+// (dist.Driver.AppendSnapshot).
 type Checkpoint struct {
 	Round      int
 	FrameChain uint64
@@ -100,8 +101,10 @@ func DecodeResume(src []byte) (Resume, int, error) {
 	return r, d.n, nil
 }
 
-// Replay is the coordinator→worker header announcing one replayed round:
-// exactly Frames frame records for round Round follow it on the wire.
+// Replay is the coordinator→worker record announcing one catch-up round to
+// a resumed worker. The round's inbound flows arrive over the mesh as peer
+// resends, never on this connection, so Frames is always 0; the field stays
+// for wire compatibility of the record body.
 type Replay struct {
 	Round  int
 	Frames int

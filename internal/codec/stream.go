@@ -6,7 +6,7 @@ package codec
 // markers, and the done/ack records the round-barrier coordinator collects.
 // The message bodies inside a peer-frame chunk reuse the per-message codec
 // of internal/shard, so a streamed run prices the identical logical frame
-// bytes the relay path and the in-process sharded engine price.
+// bytes the in-process sharded engine prices.
 
 import (
 	"encoding/binary"
@@ -69,7 +69,7 @@ const (
 
 // Window is the flow-control and end-of-flow record of the mesh protocol.
 // Credits use Src/Dst/Credits; end markers use Src/Dst/Round/Chunks/Msgs/
-// Bytes/Digest (Bytes is the flow's logical frame pricing: one relay-style
+// Bytes/Digest (Bytes is the flow's logical frame pricing: one shard-engine
 // frame header plus the message bodies, zero when Msgs is zero).
 type Window struct {
 	Kind    byte

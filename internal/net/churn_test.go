@@ -239,6 +239,7 @@ func TestChurnedCoordinatorCollectsValues(t *testing.T) {
 	ref, refMet := core.RunDistributed(g2, core.Options{Rounds: T}, dist.SeqEngine{})
 
 	conns := make([]*Conn, P)
+	mesh := NewLocalMesh(P)
 	var wg sync.WaitGroup
 	for s := 0; s < P; s++ {
 		a, b := net.Pipe()
@@ -256,6 +257,7 @@ func TestChurnedCoordinatorCollectsValues(t *testing.T) {
 			w := NewWorker(wc, g, assign)
 			w.Hello = h
 			w.Part = part
+			mesh.Join(w, h.Shard)
 			res, _ := core.RunDistributed(g, core.Options{Rounds: T}, w)
 			if err := w.SendValues(res.B); err != nil {
 				wc.SendError(err)

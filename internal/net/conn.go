@@ -14,13 +14,13 @@ import (
 // Record types. Every record is codec.AppendRecord framing around a payload
 // whose first byte is one of these; the rest of the payload is the record
 // body (DESIGN.md §8 specifies each body's layout, §10 the session types).
+// Numbers 4, 5, 6 and 21 belonged to the retired coordinator relay (frame,
+// done, deliver, replay); they stay reserved and every reader rejects them
+// as unknown.
 const (
 	recHello   = byte(1)  // coordinator→worker: codec.Hello
 	recWelcome = byte(2)  // worker→coordinator: codec.Welcome
 	recStep    = byte(3)  // coordinator→worker: uvarint round
-	recFrame   = byte(4)  // both directions: codec.FrameHeader + message bodies
-	recDone    = byte(5)  // worker→coordinator: uvarint round, alive, framesSent
-	recDeliver = byte(6)  // coordinator→worker: uvarint round, framesRelayed
 	recFinish  = byte(7)  // coordinator→worker: uvarint rounds, halted byte
 	recMetrics = byte(8)  // worker→coordinator: uvarint messages, words, wireBytes
 	recValues  = byte(9)  // worker→coordinator: uvarint count, then (uvarint node, 8-byte bits)*
@@ -33,16 +33,12 @@ const (
 // sit after the exported session block, so the table stays append-only.
 const (
 	// recCheckpoint seals one round: worker→coordinator, codec.Checkpoint
-	// (round, frame-chain digest, metric counters, driver snapshot). Sent
-	// after every delivery, retained by the coordinator for the last K
-	// rounds.
+	// (round, frame chain, metric counters, driver snapshot). Sent after
+	// every delivery, retained by the coordinator for the last K rounds.
 	recCheckpoint = byte(19)
 	// recResume restores a re-admitted worker: coordinator→worker,
 	// codec.Resume. Sent after the re-handshake, before any replay.
 	recResume = byte(20)
-	// recReplay announces one replayed round: coordinator→worker,
-	// codec.Replay; exactly Frames recFrame records for that round follow.
-	recReplay = byte(21)
 	// RecEpochResume re-admits a session worker between epochs:
 	// coordinator→worker, body is the codec.Stamp of the last sealed epoch;
 	// the worker recomputes its state from the current graph, verifies the
@@ -52,29 +48,29 @@ const (
 	RecEpochResume = byte(22)
 )
 
-// Streamed-delivery record types (DESIGN.md §14), spoken only when
-// Hello.Stream armed them. recStreamDone..recStreamReplay travel on the
-// coordinator connection; recMeshHello..recWindow travel on the mesh data
-// connections between workers.
+// Round-barrier and mesh record types (DESIGN.md §14). recStreamDone,
+// recStreamAck, recStreamResend, recStreamReplay and recRelease travel on
+// the coordinator connection; recMeshHello, recPeerFrame and recWindow on
+// the mesh data connections between workers.
 const (
-	// recStreamDone replaces recDone on streamed rounds: worker→coordinator,
-	// codec.StreamDone (round, alive, per-peer sent digests). The coordinator
-	// releases the round barrier once all P arrive.
+	// recStreamDone closes a worker's half of a round: worker→coordinator,
+	// codec.StreamDone (round, alive, per-peer sent digests). The
+	// coordinator releases the round barrier once all P arrive.
 	recStreamDone = byte(23)
-	// recStreamAck seals a streamed round after delivery: worker→coordinator,
+	// recStreamAck seals a round after delivery: worker→coordinator,
 	// codec.StreamAck (per-peer recv digests + cumulative wire counters). The
 	// coordinator verifies sent[a][b] == recv[b][a] across the matrix.
 	recStreamAck = byte(24)
 	// recStreamResend asks a worker to re-send its retained flows toward a
 	// respawned peer: coordinator→worker, body is uvarint target, from, to
-	// (inclusive round range). The worker replays the retained chunk and end
-	// records verbatim — byte-identical by determinism, accepted idempotently
-	// by the receiver's Seq gate.
+	// (inclusive round range), generation. The worker replays the retained
+	// chunk and end records verbatim — byte-identical by determinism,
+	// accepted idempotently by the receiver's Seq gate.
 	recStreamResend = byte(25)
-	// recStreamReplay announces one catch-up round to a resumed streamed
-	// worker: coordinator→worker, codec.Replay with Frames == 0 (the frames
-	// arrive over the mesh, not this connection). The worker re-steps with
-	// sends suppressed, awaits the resent flows, and delivers.
+	// recStreamReplay announces one catch-up round to a resumed worker:
+	// coordinator→worker, codec.Replay with Frames == 0 (the flows arrive
+	// over the mesh as resends). The worker re-steps with sends suppressed,
+	// awaits the resent flows, and delivers.
 	recStreamReplay = byte(26)
 	// recMeshHello opens a mesh connection: dialer→acceptor, body is uvarint
 	// src shard, generation. Generation lets a receiver prefer the link of a
@@ -86,6 +82,10 @@ const (
 	// recWindow is a codec.Window record: a flow-control credit grant or an
 	// end-of-flow marker.
 	recWindow = byte(29)
+	// recRelease is the round barrier's release: coordinator→worker, body is
+	// uvarint round. Sent once all P done records are in; the worker then
+	// awaits its inbound flows and delivers.
+	recRelease = byte(30)
 )
 
 // Session record types (DESIGN.md §10): the generalization of the one-shot
@@ -215,7 +215,7 @@ func (c *Conn) AwaitRecord() (typ byte, body []byte, err error) {
 // writeRecord buffers one record of the given type; chunks are
 // concatenated into the body. The payload length is known up front, so the
 // whole record — uvarint length, type byte, chunks — is assembled in one
-// scratch buffer (frames are the wire hot path; no intermediate copy).
+// scratch buffer (chunks are the wire hot path; no intermediate copy).
 // Flush with flush before switching to reads.
 func (c *Conn) writeRecord(typ byte, chunks ...[]byte) error {
 	if c.timeout > 0 {

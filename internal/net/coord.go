@@ -45,48 +45,43 @@ type Spec struct {
 	IOTimeout time.Duration
 	// Recover arms crash recovery (DESIGN.md §13): workers checkpoint
 	// after every delivery, the coordinator retains the last RetainRounds
-	// checkpoints and rounds of relay history per worker, and a dead worker
-	// is respawned via Respawn and restored instead of failing the run.
+	// checkpoints and digest chains per worker, the workers retain their
+	// sent flows, and a dead worker is respawned via Respawn and restored
+	// instead of failing the run.
 	Recover bool
-	// RetainRounds is K, the per-worker retention depth for checkpoints and
-	// relay history; ≤ 0 means the default of 4 (a worker's checkpoint lag
+	// RetainRounds is K, the retention depth for checkpoints, digest chains
+	// and sent flows; ≤ 0 means the default of 4 (a worker's checkpoint lag
 	// is at most 2 rounds, so 4 leaves slack).
 	RetainRounds int
 	// Respawn produces a fresh connection to a restarted worker for the
 	// given shard: the in-process engine spawns a goroutine on a fresh
-	// pipe, cmd/cluster re-execs the worker binary on a fresh socket.
+	// pipe, cmd/cluster re-execs the worker binary on the shard's address.
 	// Recovery requires it; a nil Respawn with Recover set fails the run on
-	// the first death, exactly as if recovery were off. Streamed runs add a
-	// contract: the new incarnation's mesh generation (Worker.MeshGen)
-	// must equal the number of Respawn calls performed for the shard, so
-	// the coordinator can name the incarnation in resend instructions.
+	// the first death, exactly as if recovery were off. The new
+	// incarnation's mesh generation (Worker.MeshGen) must equal the number
+	// of Respawn calls performed for the shard, so the coordinator can name
+	// the incarnation in resend instructions.
 	Respawn func(shard int) (*Conn, error)
 	// OnRound, when non-nil, runs at the top of every round before the
 	// step broadcast — the fault-injection seam multi-process harnesses use
 	// to SIGKILL a worker at a chosen round.
 	OnRound func(t int)
-	// Stream arms streamed delivery (DESIGN.md §14): round traffic flows
-	// worker↔worker over a mesh of data connections, and the coordinator
-	// shrinks to a round-barrier and digest-verification service — it never
-	// sees a frame. Workers must be given mesh endpoints (Worker.MeshDial
-	// et al., or cmd/cluster's mesh listeners via MeshSpec).
-	Stream bool
-	// MeshThreshold is the P at or above which a streamed run uses the
-	// hypercube relay topology instead of the full mesh (power-of-two P
-	// only; ≤ 0 means the default of 16). Recovery forces the full mesh —
-	// resends need a direct path that a relay hop's death cannot sever.
+	// MeshThreshold is the P at or above which the run uses the hypercube
+	// relay topology instead of the full mesh (power-of-two P only; ≤ 0
+	// means the default of 16). Recovery forces the full mesh — resends
+	// need a direct path that a relay hop's death cannot sever.
 	MeshThreshold int
-	// Window is the per-peer flow-control window of a streamed run: how
-	// many unacknowledged chunks a sender may have in flight toward one
-	// destination (≤ 0 means the protocol default).
+	// Window is the per-peer flow-control window: how many unacknowledged
+	// chunks a sender may have in flight toward one destination (≤ 0 means
+	// the protocol default).
 	Window int
-	// MeshSpec names the workers' mesh listen addresses for multi-process
-	// streamed runs (comma-joined, indexed by shard); empty in-process.
+	// MeshSpec names the workers' listen addresses for multi-process runs
+	// (comma-joined, indexed by shard; see Listener); empty in-process.
 	MeshSpec string
 	// Trace, when set, records the coordinator's per-round barrier-wait and
-	// relay spans plus one Flow per relayed frame — the P×P matrix that
-	// makes the coordinator funnel visible. It observes bytes the ledger
-	// already prices, so a traced run is byte-identical to an untraced one.
+	// verify spans plus one Flow per non-empty flow — the P×P traffic
+	// matrix. It observes bytes the ledger already prices, so a traced run
+	// is byte-identical to an untraced one.
 	Trace *obs.Tracer
 }
 
@@ -116,9 +111,8 @@ type Report struct {
 	// (0 when recovery is disabled or nothing died).
 	Recoveries int
 	// StreamWire holds each worker's cumulative mesh wire counters as of
-	// its last acked round (streamed runs only; nil otherwise). It is
-	// observability, not protocol: the quantity that must stay ~flat per
-	// worker as P grows.
+	// its last acked round. It is observability, not protocol: the quantity
+	// that must stay ~flat per worker as P grows.
 	StreamWire []codec.StreamWire
 }
 
@@ -308,7 +302,7 @@ func (h *Hub) Next() (from int, typ byte, body []byte, err error) {
 }
 
 // RunCoordinator drives one full run over P established worker
-// connections: handshake, per-round barrier (step → frame relay → deliver),
+// connections: handshake, per-round barrier (step → done → release → ack),
 // finish, metric aggregation. conns[i] becomes shard i. It returns the
 // run-level Metrics — byte-identical to dist.SeqEngine's for the same
 // protocol, graph and Λ — plus the cluster Report.
@@ -317,13 +311,14 @@ func (h *Hub) Next() (from int, typ byte, body []byte, err error) {
 // availability. Any connection error, version skew, digest mismatch or
 // protocol violation aborts the whole run with an error after best-effort
 // error records to the surviving workers; there is no retry, reconnect or
-// partial result. Spec.IOTimeout (or deadlines set on the conns) makes a
-// dead worker fail fast instead of hanging the coordinator. The caller
-// owns the connections and closes them afterwards; together with the
-// hub teardown that releases channel-blocked readers, that terminates the
-// reader goroutines this call spawns. To keep the workers alive for more
-// exchanges after the run — a session — build a Hub yourself and call its
-// Run; this wrapper tears the hub down when the run ends.
+// partial result unless Spec.Recover arms crash recovery. Spec.IOTimeout
+// (or deadlines set on the conns) makes a dead worker fail fast instead of
+// hanging the coordinator. The caller owns the connections and closes them
+// afterwards; together with the hub teardown that releases channel-blocked
+// readers, that terminates the reader goroutines this call spawns. To keep
+// the workers alive for more exchanges after the run — a session — build a
+// Hub yourself and call its Run; this wrapper tears the hub down when the
+// run ends.
 func RunCoordinator(conns []*Conn, spec Spec) (dist.Metrics, *Report, error) {
 	h := NewHub(conns)
 	defer h.Close()
@@ -345,10 +340,10 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	c := &coordinator{
 		hub:  h,
 		spec: spec,
-		rep:  &Report{Sharding: shard.ShardMetrics{P: p, PerShardBytes: make([]int64, p)}},
-	}
-	if spec.Stream {
-		c.rep.StreamWire = make([]codec.StreamWire, p)
+		rep: &Report{
+			Sharding:   shard.ShardMetrics{P: p, PerShardBytes: make([]int64, p)},
+			StreamWire: make([]codec.StreamWire, p),
+		},
 	}
 	if spec.Recover {
 		c.hellos = make([][]byte, p)
@@ -367,20 +362,11 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	return met, c.rep, nil
 }
 
-// frameRec is one parked cross-shard frame: the full record body (header +
-// messages) plus its source and message count, so a dead worker's parked
-// contribution can be discarded with an exact ledger undo.
-type frameRec struct {
-	src, count int
-	body       []byte
-}
-
-// histRound is one retained round of relay history for one worker: the
-// frames relayed to it and the worker's expected frame-chain digest after
-// folding them (checkpoint verification, catch-up replay).
+// histRound is one retained round of a worker's expected frame chain: the
+// chain the worker's checkpoint for that round must carry (checkpoint
+// verification, catch-up replay).
 type histRound struct {
 	round      int
-	frames     []frameRec
 	chainAfter uint64
 }
 
@@ -395,16 +381,16 @@ type coordinator struct {
 	rep  *Report
 
 	// stash defers records from other workers that arrive while a recovery
-	// exchange is awaiting a specific worker's reply; nextRec drains it
-	// FIFO before touching the hub again, so per-worker order holds.
+	// exchange is awaiting a specific worker's reply; next drains it FIFO
+	// before touching the hub again, so per-worker order holds.
 	stash []inRec
 
 	// Recovery retention (allocated when spec.Recover; nil otherwise).
 	hellos   [][]byte             // original hello record body per worker
 	deltaRec []byte               // original churn delta record, if any
 	ckpts    [][]codec.Checkpoint // last K checkpoints per worker, ascending rounds
-	hist     [][]histRound        // last K rounds of relay history per worker
-	chains   []uint64             // cumulative relayed frame chain per worker
+	hist     [][]histRound        // last K expected frame chains per worker
+	chains   []uint64             // cumulative frame chain per worker
 	attempts []int                // recoveries performed per worker
 }
 
@@ -445,9 +431,9 @@ func (c *coordinator) next() (inRec, error) {
 }
 
 // awaitFrom receives the next record from worker w specifically, stashing
-// records other workers interleave (their dones, frames and even deaths
-// are deferred, not lost) and absorbing checkpoints. Recovery exchanges use
-// it to read the respawned worker's welcome.
+// records other workers interleave (their dones, acks and even deaths are
+// deferred, not lost) and absorbing checkpoints. Recovery exchanges use it
+// to read the respawned worker's welcome.
 func (c *coordinator) awaitFrom(w int) (inRec, error) {
 	for {
 		r := c.hub.take()
@@ -465,10 +451,31 @@ func (c *coordinator) awaitFrom(w int) (inRec, error) {
 	}
 }
 
+// blame names the worker a failed receive implicates: the record's sender,
+// or — for a reply timeout, which names nobody — the one worker that still
+// owes a record, when exactly one does. -1 means the failure cannot be
+// attributed.
+func blame(r inRec, p int, owes func(i int) bool) int {
+	if r.from >= 0 {
+		return r.from
+	}
+	cand, lagging := -1, 0
+	for i := 0; i < p; i++ {
+		if owes(i) {
+			cand, lagging = i, lagging+1
+		}
+	}
+	if lagging == 1 {
+		return cand
+	}
+	return -1
+}
+
 // absorbCheckpoint stores one worker checkpoint in the retention ring,
-// verifying its frame chain against the relay history when the round is
-// still retained. A catch-up re-checkpoint supersedes ring entries at or
-// past its round (they were the dead incarnation's).
+// verifying its frame chain against the digest chain the coordinator
+// derived from the senders' done records when the round is still retained.
+// A catch-up re-checkpoint supersedes ring entries at or past its round
+// (they were the dead incarnation's).
 func (c *coordinator) absorbCheckpoint(r inRec) error {
 	ck, used, err := codec.DecodeCheckpoint(r.body)
 	if err != nil {
@@ -481,7 +488,7 @@ func (c *coordinator) absorbCheckpoint(r inRec) error {
 	for i := range c.hist[w] {
 		if c.hist[w][i].round == ck.Round {
 			if c.hist[w][i].chainAfter != ck.FrameChain {
-				return fmt.Errorf("net: worker %d checkpoint for round %d has frame chain %#x, coordinator relayed %#x",
+				return fmt.Errorf("net: worker %d checkpoint for round %d has frame chain %#x, senders proved %#x",
 					w, ck.Round, ck.FrameChain, c.hist[w][i].chainAfter)
 			}
 			break
@@ -496,125 +503,6 @@ func (c *coordinator) absorbCheckpoint(r inRec) error {
 		ring = ring[len(ring)-k:]
 	}
 	c.ckpts[w] = ring
-	return nil
-}
-
-// retain records round t's relay traffic into every worker's history ring
-// and advances the per-worker frame chains. Must run after the round's
-// collection and before the relay writes, so a death during relay can
-// still be caught up through round t.
-func (c *coordinator) retain(t int, relay [][]frameRec) {
-	for q := range relay {
-		for _, fr := range relay[q] {
-			c.chains[q] = foldFrame(c.chains[q], fr.body)
-		}
-		hr := append(c.hist[q], histRound{round: t, frames: relay[q], chainAfter: c.chains[q]})
-		if k := c.retainK(); len(hr) > k {
-			hr = hr[len(hr)-k:]
-		}
-		c.hist[q] = hr
-	}
-}
-
-// histOf returns the retained relay history of worker w for one round, or
-// nil when retention has trimmed it.
-func (c *coordinator) histOf(w, round int) *histRound {
-	for i := range c.hist[w] {
-		if c.hist[w][i].round == round {
-			return &c.hist[w][i]
-		}
-	}
-	return nil
-}
-
-// restartWorker is the recovery core (DESIGN.md §13): respawn worker w,
-// re-admit it with the original hello, restore it from its newest retained
-// checkpoint at or before round upTo, and replay the relayed frames of
-// every round after the checkpoint through upTo. When it returns nil the
-// new incarnation holds exactly the state the dead one had sealed at the
-// end of round upTo, and is parked in its read loop awaiting whatever the
-// coordinator sends next. Deadlock-free: the replay writes below can block
-// on a full pipe only until the new connection's hub reader drains the
-// worker's catch-up checkpoints, which it does continuously.
-func (c *coordinator) restartWorker(w, upTo int) error {
-	if !c.recoverable() {
-		return fmt.Errorf("net: worker %d died and recovery is not armed", w)
-	}
-	if c.attempts == nil {
-		c.attempts = make([]int, c.hub.P())
-	}
-	if c.attempts[w]++; c.attempts[w] > maxRecoveries {
-		return fmt.Errorf("net: worker %d died %d times; giving up", w, c.attempts[w])
-	}
-	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
-	defer sp.End()
-	cn, err := c.spec.Respawn(w)
-	if err != nil {
-		return fmt.Errorf("net: respawning worker %d: %w", w, err)
-	}
-	if c.spec.IOTimeout > 0 {
-		cn.SetIOTimeout(c.spec.IOTimeout)
-	}
-	// Close the dead incarnation's conn (releasing its fd and unparking its
-	// reader, whose final error record is generation-filtered out), then
-	// swap in the replacement.
-	c.hub.conns[w].Close()
-	c.hub.Replace(w, cn)
-	if err := cn.writeRecord(recHello, c.hellos[w]); err != nil {
-		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-	}
-	if c.deltaRec != nil {
-		if err := cn.writeRecord(recDelta, c.deltaRec); err != nil {
-			return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-		}
-	}
-	if err := cn.flush(); err != nil {
-		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-	}
-	r, err := c.awaitFrom(w)
-	if err != nil {
-		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-	}
-	if _, err := c.checkWelcome(r); err != nil {
-		return err
-	}
-	// Newest retained checkpoint at or before upTo; -1 restarts from Init.
-	ck := -1
-	rs := codec.Resume{CkptRound: -1}
-	for j := len(c.ckpts[w]) - 1; j >= 0; j-- {
-		if cp := c.ckpts[w][j]; cp.Round <= upTo {
-			ck = cp.Round
-			rs = codec.Resume{CkptRound: cp.Round, FrameChain: cp.FrameChain,
-				Msgs: cp.Msgs, Words: cp.Words, Wire: cp.Wire, State: cp.State}
-			break
-		}
-	}
-	rs.Catchup = upTo - ck
-	if err := cn.writeRecord(recResume, codec.AppendResume(nil, rs)); err != nil {
-		return fmt.Errorf("net: resuming worker %d: %w", w, err)
-	}
-	for t := ck + 1; t <= upTo; t++ {
-		hr := c.histOf(w, t)
-		if hr == nil {
-			return fmt.Errorf("net: recovering worker %d needs round %d replayed, but retention (K=%d) trimmed it", w, t, c.retainK())
-		}
-		rp := c.spec.Trace.Begin(obs.PhaseReplay, t, w)
-		if err := cn.writeRecord(recReplay, codec.AppendReplay(nil, codec.Replay{Round: t, Frames: len(hr.frames)})); err != nil {
-			return fmt.Errorf("net: replaying round %d to worker %d: %w", t, w, err)
-		}
-		var rb int64
-		for _, fr := range hr.frames {
-			if err := cn.writeRecord(recFrame, fr.body); err != nil {
-				return fmt.Errorf("net: replaying round %d to worker %d: %w", t, w, err)
-			}
-			rb += int64(len(fr.body))
-		}
-		rp.EndN(rb, int64(len(hr.frames)))
-	}
-	if err := cn.flush(); err != nil {
-		return fmt.Errorf("net: resuming worker %d: %w", w, err)
-	}
-	c.rep.Recoveries++
 	return nil
 }
 
@@ -663,7 +551,6 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			ProtoSpec:   c.spec.ProtoSpec,
 			WantValues:  c.spec.WantValues,
 			Recover:     c.spec.Recover,
-			Stream:      c.spec.Stream,
 			MeshKind:    meshKindFor(p, c.spec.MeshThreshold, c.spec.Recover),
 			Window:      c.spec.Window,
 			MeshSpec:    c.spec.MeshSpec,
@@ -707,14 +594,14 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	// The round loop mirrors dist.SeqEngine.Run condition for condition:
 	// Init is round 0 and always runs; round t runs while t ≤ maxRounds
 	// and someone is still alive; Rounds is the last t executed.
-	alive, err := c.anyRound(0)
+	alive, err := c.round(0)
 	if err != nil {
 		return dist.Metrics{}, err
 	}
 	rounds := 0
 	for t := 1; t <= c.spec.MaxRounds && alive > 0; t++ {
 		rounds = t
-		if alive, err = c.anyRound(t); err != nil {
+		if alive, err = c.round(t); err != nil {
 			return dist.Metrics{}, err
 		}
 	}
@@ -738,12 +625,12 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	restarted := make([]bool, p)
 	for i := range c.hub.conns {
 		if err := sendFin(i); err != nil {
-			// A worker killed at the last round's delivery surfaces here:
+			// A worker that died after acking the last round surfaces here:
 			// recover it through the final round and re-send the finish.
 			if !c.recoverable() {
 				return dist.Metrics{}, err
 			}
-			if err := c.restart(i, rounds); err != nil {
+			if err := c.restart(i, rounds, rounds); err != nil {
 				return dist.Metrics{}, err
 			}
 			restarted[i] = true
@@ -772,22 +659,8 @@ func (c *coordinator) run() (dist.Metrics, error) {
 				continue
 			}
 			if c.recoverable() {
-				w := r.from
-				if w < 0 {
-					// A timeout names nobody; attribute it only when exactly
-					// one worker still owes records.
-					cand, lagging := -1, 0
-					for i := 0; i < p; i++ {
-						if !complete(i) {
-							cand, lagging = i, lagging+1
-						}
-					}
-					if lagging == 1 {
-						w = cand
-					}
-				}
-				if w >= 0 && !complete(w) {
-					if err := c.restart(w, rounds); err != nil {
+				if w := blame(r, p, func(i int) bool { return !complete(i) }); w >= 0 && !complete(w) {
+					if err := c.restart(w, rounds, rounds); err != nil {
 						return dist.Metrics{}, err
 					}
 					restarted[w] = true
@@ -854,20 +727,51 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	return met, nil
 }
 
-// round drives one barrier round: step broadcast, then a pure collection
-// phase (frames are parked in memory until every worker reports done), then
-// the relay + deliver writes. Writing only after all P dones is what makes
-// the protocol deadlock-free on unbuffered transports (net.Pipe): by then
-// every worker has flushed its last record of the round and sits in its
-// read loop, so the coordinator's writes always drain. Returns the number
-// of nodes still alive across the cluster after the round.
+// defaultMeshThreshold is the P at or above which a run (with recovery off
+// and a power-of-two P) switches from the full mesh to the hypercube relay
+// topology.
+const defaultMeshThreshold = 16
+
+// meshKindFor picks the mesh topology for a run: the hypercube needs a
+// power-of-two P at or above the threshold, and recovery forces the full
+// mesh — a resend must have a direct path to the respawned worker that no
+// relay hop's own death can sever.
+func meshKindFor(p, threshold int, recov bool) byte {
+	if threshold <= 0 {
+		threshold = defaultMeshThreshold
+	}
+	if !recov && p >= threshold && p&(p-1) == 0 {
+		return codec.MeshCube
+	}
+	return codec.MeshFull
+}
+
+// digestFor returns the PeerDigest entry for peer q in a done/ack entry
+// list (ascending Peer, self excluded).
+func digestFor(ents []codec.PeerDigest, q int) (codec.PeerDigest, error) {
+	for _, e := range ents {
+		if e.Peer == q {
+			return e, nil
+		}
+	}
+	return codec.PeerDigest{}, fmt.Errorf("net: no digest entry for peer %d", q)
+}
+
+// round drives one barrier round (DESIGN.md §8.4, §14): step broadcast,
+// collect every worker's done record (its per-peer sent digests — the data
+// plane runs worker↔worker in the meantime), price the ledger and advance
+// the digest chains, release the barrier, then collect every worker's ack
+// and verify the digest matrix closes: sent[a][b] == recv[b][a] for every
+// pair. The coordinator never sees a frame; the matrix is what proves every
+// flow arrived whole and untouched. Returns the number of nodes still alive
+// across the cluster after the round.
 //
-// With recovery armed, a worker death inside the round is handled by where
-// it surfaces (DESIGN.md §13): before the worker's done record, its partial
-// round-t contribution is discarded (exact ledger undo) and the restored
-// worker re-steps round t; after its done record (or during relay), the
-// parked frames and alive count stand, and the worker is restored through
-// round t once the relay phase ends.
+// With recovery armed, a worker death is handled by where it surfaces
+// (DESIGN.md §13): before the worker's done, its streamed contribution is a
+// prefix the peers' sequence gates will deduplicate — restore through t-1
+// and re-step; after its done, its chunks are on the wire (the worker
+// barriers its mesh writers before the done record), so the round stands
+// and the worker is restored through t once the ack phase ends.
 func (c *coordinator) round(t int) (alive int, err error) {
 	if c.spec.OnRound != nil {
 		c.spec.OnRound(t)
@@ -886,8 +790,10 @@ func (c *coordinator) round(t int) (alive int, err error) {
 			if !c.recoverable() {
 				return 0, err
 			}
-			// Dead before stepping round t: restore through t-1, re-step.
-			if err := c.restartWorker(i, t-1); err != nil {
+			// Dead before stepping round t: restore through t-1 (peers
+			// resend the inbound flows of the catch-up rounds and of round
+			// t itself), re-step.
+			if err := c.restart(i, t-1, t); err != nil {
 				return 0, err
 			}
 			if err := sendStep(i); err != nil {
@@ -895,13 +801,9 @@ func (c *coordinator) round(t int) (alive int, err error) {
 			}
 		}
 	}
-	relay := make([][]frameRec, p) // relay[q] = frames parked for worker q
-	framesFrom := make([]int, p)
 	done := make([]bool, p)
-	// deadDone marks workers that died after their round-t done record was
-	// in (or during the relay writes): their contribution stands, and they
-	// are restored through round t after the relay phase.
-	deadDone := make([]bool, p)
+	dead := make([]bool, p) // died with round t's contribution standing
+	sent := make([][]codec.PeerDigest, p)
 	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
 	for dones := 0; dones < p; {
 		r, err := c.next()
@@ -909,47 +811,23 @@ func (c *coordinator) round(t int) (alive int, err error) {
 			if !c.recoverable() {
 				return 0, err
 			}
-			w := r.from
-			if w < 0 {
-				// A timeout names nobody; attribute it only when exactly one
-				// worker still owes its done record.
-				cand, lagging := -1, 0
-				for i := 0; i < p; i++ {
-					if !done[i] {
-						cand, lagging = i, lagging+1
-					}
-				}
-				if lagging == 1 {
-					w = cand
-				}
-			}
+			w := blame(r, p, func(i int) bool { return !done[i] })
 			if w < 0 {
 				return 0, err
 			}
 			if done[w] {
-				// Died after its done record: frames and alive count stand
-				// (per-conn FIFO means they all preceded the error). Restore
-				// after the relay phase, through round t.
-				deadDone[w] = true
+				// Died after its done: the mesh barrier before the done
+				// record means its chunks are on the wire, so the peers can
+				// complete the round without it. Restore through t after the
+				// ack phase.
+				dead[w] = true
 				continue
 			}
-			// Died mid-round: discard its partial round-t contribution with
-			// an exact ledger undo, restore through t-1, re-step round t.
-			for q := range relay {
-				kept := relay[q][:0]
-				for _, fr := range relay[q] {
-					if fr.src == w {
-						c.rep.Sharding.CrossMessages -= int64(fr.count)
-						c.rep.Sharding.CrossFrameBytes -= int64(len(fr.body))
-						c.rep.Sharding.PerShardBytes[w] -= int64(len(fr.body))
-						continue
-					}
-					kept = append(kept, fr)
-				}
-				relay[q] = kept
-			}
-			framesFrom[w] = 0
-			if err := c.restartWorker(w, t-1); err != nil {
+			// Died mid-round: the prefix it streamed is deduplicated by the
+			// peers' sequence gates when the restored worker re-streams the
+			// identical bytes; nothing to undo — the ledger prices done
+			// records, and this worker never sent one.
+			if err := c.restart(w, t-1, t); err != nil {
 				return 0, err
 			}
 			if err := sendStep(w); err != nil {
@@ -957,99 +835,276 @@ func (c *coordinator) round(t int) (alive int, err error) {
 			}
 			continue
 		}
-		switch r.typ {
-		case recFrame:
-			fh, _, err := codec.DecodeFrameHeader(r.body)
-			if err != nil {
-				return 0, err
-			}
-			if fh.Src != r.from || fh.Dst < 0 || fh.Dst >= p || fh.Dst == fh.Src || fh.Round != t || fh.Count <= 0 {
-				return 0, fmt.Errorf("net: invalid frame %+v from worker %d in round %d", fh, r.from, t)
-			}
-			// The relayed record body is byte-for-byte the frame (header +
-			// messages), so the ledger prices exactly what internal/shard's
-			// engine prices for the same run.
-			c.rep.Sharding.CrossMessages += int64(fh.Count)
-			c.rep.Sharding.CrossFrameBytes += int64(len(r.body))
-			c.rep.Sharding.PerShardBytes[fh.Src] += int64(len(r.body))
-			c.spec.Trace.Flow(t, fh.Src, fh.Dst, int64(len(r.body)), int64(fh.Count))
-			framesFrom[r.from]++
-			relay[fh.Dst] = append(relay[fh.Dst], frameRec{src: fh.Src, count: fh.Count, body: r.body})
-		case recDone:
-			d := 0
-			var vals [3]uint64
-			for j := range vals {
-				u, k := binary.Uvarint(r.body[d:])
-				if k <= 0 {
-					return 0, fmt.Errorf("net: worker %d sent a truncated done record", r.from)
-				}
-				vals[j] = u
-				d += k
-			}
-			if int(vals[0]) != t {
-				return 0, fmt.Errorf("net: worker %d done for round %d during round %d", r.from, vals[0], t)
-			}
-			if done[r.from] {
-				return 0, fmt.Errorf("net: worker %d done twice in round %d", r.from, t)
-			}
-			if int(vals[2]) != framesFrom[r.from] {
-				return 0, fmt.Errorf("net: worker %d announced %d frames, %d arrived", r.from, vals[2], framesFrom[r.from])
-			}
-			done[r.from] = true
-			alive += int(vals[1])
-			dones++
-		default:
+		if r.typ != recStreamDone {
 			return 0, fmt.Errorf("net: unexpected record type %d from worker %d in round %d", r.typ, r.from, t)
 		}
+		sd, used, err := codec.DecodeStreamDone(r.body)
+		if err != nil {
+			return 0, err
+		}
+		if used != len(r.body) {
+			return 0, fmt.Errorf("net: worker %d done record carries %d trailing bytes", r.from, len(r.body)-used)
+		}
+		if sd.Round != t {
+			return 0, fmt.Errorf("net: worker %d done for round %d during round %d", r.from, sd.Round, t)
+		}
+		if done[r.from] {
+			return 0, fmt.Errorf("net: worker %d done twice in round %d", r.from, t)
+		}
+		if len(sd.Sent) != p-1 {
+			return 0, fmt.Errorf("net: worker %d done reports %d flows, want %d", r.from, len(sd.Sent), p-1)
+		}
+		done[r.from] = true
+		sent[r.from] = sd.Sent
+		alive += sd.Alive
+		dones++
 	}
 	bw.End()
-	if c.spec.Recover {
-		// Record the round into the relay history and frame chains before
-		// writing anything, so a death during relay can be caught up through
-		// round t.
-		c.retain(t, relay)
+	// Ledger and trace from the done records: each worker's per-peer logical
+	// totals are exactly what the sharded engine prices for the same frames
+	// (one frame header plus bodies, nothing for empty flows).
+	for w := 0; w < p; w++ {
+		for _, e := range sent[w] {
+			if e.Peer < 0 || e.Peer >= p || e.Peer == w {
+				return 0, fmt.Errorf("net: worker %d done reports flow to %d", w, e.Peer)
+			}
+			c.rep.Sharding.CrossMessages += e.Msgs
+			c.rep.Sharding.CrossFrameBytes += e.Bytes
+			c.rep.Sharding.PerShardBytes[w] += e.Bytes
+			if e.Msgs > 0 {
+				c.spec.Trace.Flow(t, w, e.Peer, e.Bytes, e.Msgs)
+			}
+		}
 	}
-	rl := c.spec.Trace.Begin(obs.PhaseRelay, t, -1)
-	var relayBytes, relayFrames int64
+	if c.spec.Recover {
+		// Advance the per-worker digest chains before releasing anything, so
+		// a death during the ack phase can verify catch-up checkpoints.
+		c.sealChains(t, sent)
+	}
+	vf := c.spec.Trace.Begin(obs.PhaseVerify, t, -1)
+	release := binary.AppendUvarint(nil, uint64(t))
 	for q := range c.hub.conns {
-		if deadDone[q] {
+		if dead[q] {
 			continue
 		}
 		cn := c.hub.conns[q]
-		werr := func() error {
-			for _, fr := range relay[q] {
-				if err := cn.writeRecord(recFrame, fr.body); err != nil {
-					return err
-				}
-			}
-			del := binary.AppendUvarint(nil, uint64(t))
-			del = binary.AppendUvarint(del, uint64(len(relay[q])))
-			if err := cn.writeRecord(recDeliver, del); err != nil {
-				return err
-			}
-			return cn.flush()
-		}()
+		werr := cn.writeRecord(recRelease, release)
+		if werr == nil {
+			werr = cn.flush()
+		}
 		if werr != nil {
 			if !c.recoverable() {
 				return 0, werr
 			}
-			// Died during relay: its done record is in, so restore through
-			// round t with the rest of the deadDone workers.
-			deadDone[q] = true
-			continue
-		}
-		for _, fr := range relay[q] {
-			relayBytes += int64(len(fr.body))
-			relayFrames++
+			dead[q] = true
 		}
 	}
-	rl.EndN(relayBytes, relayFrames)
-	for q := range deadDone {
-		if deadDone[q] {
-			if err := c.restartWorker(q, t); err != nil {
+	// Collect the acks: every live worker's receive-side digests, which must
+	// mirror the senders' entry for entry.
+	acked := make([]bool, p)
+	owesAck := func(i int) bool { return !acked[i] && !dead[i] }
+	var ackBytes, ackFlows int64
+	for {
+		pending := 0
+		for i := 0; i < p; i++ {
+			if owesAck(i) {
+				pending++
+			}
+		}
+		if pending == 0 {
+			break
+		}
+		r, err := c.next()
+		if err != nil {
+			if !c.recoverable() {
+				return 0, err
+			}
+			w := blame(r, p, owesAck)
+			if w < 0 {
+				return 0, err
+			}
+			// Died at the receive barrier, the delivery, or just after the
+			// ack: its done stood, so restore through t with the rest.
+			dead[w] = true
+			continue
+		}
+		if r.typ != recStreamAck {
+			return 0, fmt.Errorf("net: unexpected record type %d from worker %d in round %d ack phase", r.typ, r.from, t)
+		}
+		sa, used, err := codec.DecodeStreamAck(r.body)
+		if err != nil {
+			return 0, err
+		}
+		if used != len(r.body) {
+			return 0, fmt.Errorf("net: worker %d ack record carries %d trailing bytes", r.from, len(r.body)-used)
+		}
+		if sa.Round != t {
+			return 0, fmt.Errorf("net: worker %d ack for round %d during round %d", r.from, sa.Round, t)
+		}
+		if acked[r.from] {
+			return 0, fmt.Errorf("net: worker %d acked twice in round %d", r.from, t)
+		}
+		if len(sa.Recv) != p-1 {
+			return 0, fmt.Errorf("net: worker %d ack reports %d flows, want %d", r.from, len(sa.Recv), p-1)
+		}
+		for _, e := range sa.Recv {
+			if e.Peer < 0 || e.Peer >= p || e.Peer == r.from {
+				return 0, fmt.Errorf("net: worker %d ack reports flow from %d", r.from, e.Peer)
+			}
+			se, err := digestFor(sent[e.Peer], r.from)
+			if err != nil {
+				return 0, err
+			}
+			if se.Chunks != e.Chunks || se.Msgs != e.Msgs || se.Bytes != e.Bytes || se.Digest != e.Digest {
+				return 0, fmt.Errorf("net: round %d flow %d→%d mismatch (sent %d chunks %d msgs %d bytes %#x, received %d/%d/%d/%#x)",
+					t, e.Peer, r.from, se.Chunks, se.Msgs, se.Bytes, se.Digest, e.Chunks, e.Msgs, e.Bytes, e.Digest)
+			}
+			ackBytes += e.Bytes
+			ackFlows++
+		}
+		acked[r.from] = true
+		c.rep.StreamWire[r.from] = sa.Wire
+	}
+	vf.EndN(ackBytes, ackFlows)
+	for w := range dead {
+		if dead[w] {
+			if err := c.restart(w, t, t); err != nil {
 				return 0, err
 			}
 		}
 	}
 	return alive, nil
+}
+
+// sealChains advances the per-worker frame chains through round t and
+// records them in the retention rings, so checkpoints verify against what
+// the senders proved they shipped. Worker w's round digest is the
+// ascending-source fold of the flows it received — each equal, by the
+// matrix check, to the sender's entry toward w.
+func (c *coordinator) sealChains(t int, sent [][]codec.PeerDigest) {
+	p := c.hub.P()
+	for w := 0; w < p; w++ {
+		dig := frameChainSeed
+		for q := 0; q < p; q++ {
+			if q == w {
+				continue
+			}
+			if e, err := digestFor(sent[q], w); err == nil {
+				dig = foldU64(dig, e.Digest)
+			}
+		}
+		c.chains[w] = foldU64(c.chains[w], dig)
+		hr := append(c.hist[w], histRound{round: t, chainAfter: c.chains[w]})
+		if k := c.retainK(); len(hr) > k {
+			hr = hr[len(hr)-k:]
+		}
+		c.hist[w] = hr
+	}
+}
+
+// restart is the recovery core (DESIGN.md §13.2): respawn worker w,
+// re-admit it with the original hello (its new incarnation re-forms the
+// mesh before the welcome), instruct every live peer to resend its retained
+// flows of rounds (ckpt, resendThrough] toward w, then restore w from its
+// newest retained checkpoint at or before upTo and replay rounds
+// (ckpt, upTo] — each a re-step with sends suppressed (the peers already
+// hold the dead incarnation's identical bytes) that absorbs the resent
+// inbound flows and re-checkpoints. resendThrough may exceed upTo by one
+// round: a worker that died mid-round t is restored through t-1 but needs
+// round t's inbound flows too, since the peers already streamed (and will
+// not re-stream) them. When it returns nil the new incarnation holds
+// exactly the state the dead one had sealed at the end of round upTo.
+func (c *coordinator) restart(w, upTo, resendThrough int) error {
+	if !c.recoverable() {
+		return fmt.Errorf("net: worker %d died and recovery is not armed", w)
+	}
+	if c.attempts == nil {
+		c.attempts = make([]int, c.hub.P())
+	}
+	if c.attempts[w]++; c.attempts[w] > maxRecoveries {
+		return fmt.Errorf("net: worker %d died %d times; giving up", w, c.attempts[w])
+	}
+	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
+	defer sp.End()
+	cn, err := c.spec.Respawn(w)
+	if err != nil {
+		return fmt.Errorf("net: respawning worker %d: %w", w, err)
+	}
+	if c.spec.IOTimeout > 0 {
+		cn.SetIOTimeout(c.spec.IOTimeout)
+	}
+	// Close the dead incarnation's conn (releasing its fd and unparking its
+	// reader, whose final error record is generation-filtered out), then
+	// swap in the replacement.
+	c.hub.conns[w].Close()
+	c.hub.Replace(w, cn)
+	if err := cn.writeRecord(recHello, c.hellos[w]); err != nil {
+		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
+	}
+	if c.deltaRec != nil {
+		if err := cn.writeRecord(recDelta, c.deltaRec); err != nil {
+			return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
+		}
+	}
+	if err := cn.flush(); err != nil {
+		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
+	}
+	r, err := c.awaitFrom(w)
+	if err != nil {
+		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
+	}
+	if _, err := c.checkWelcome(r); err != nil {
+		return err
+	}
+	// Newest retained checkpoint at or before upTo; -1 restarts from Init.
+	ck := -1
+	rs := codec.Resume{CkptRound: -1}
+	for j := len(c.ckpts[w]) - 1; j >= 0; j-- {
+		if cp := c.ckpts[w][j]; cp.Round <= upTo {
+			ck = cp.Round
+			rs = codec.Resume{CkptRound: cp.Round, FrameChain: cp.FrameChain,
+				Msgs: cp.Msgs, Words: cp.Words, Wire: cp.Wire, State: cp.State}
+			break
+		}
+	}
+	rs.Catchup = upTo - ck
+	if resendThrough > ck {
+		// The welcome is in, so w's mesh is formed from its side and every
+		// peer's accept of the new links is in flight. The resend record
+		// carries w's new mesh generation — which by the Respawn contract is
+		// the number of respawns performed for the shard, i.e. attempts —
+		// so each peer waits for that incarnation's link before writing a
+		// byte (records to the dead link would drop silently).
+		req := binary.AppendUvarint(nil, uint64(w))
+		req = binary.AppendUvarint(req, uint64(ck+1))
+		req = binary.AppendUvarint(req, uint64(resendThrough))
+		req = binary.AppendUvarint(req, uint64(c.attempts[w]))
+		for q := range c.hub.conns {
+			if q == w {
+				continue
+			}
+			qc := c.hub.conns[q]
+			if err := qc.writeRecord(recStreamResend, req); err != nil {
+				return fmt.Errorf("net: requesting resend %d→%d: %w", q, w, err)
+			}
+			if err := qc.flush(); err != nil {
+				return fmt.Errorf("net: requesting resend %d→%d: %w", q, w, err)
+			}
+		}
+	}
+	if err := cn.writeRecord(recResume, codec.AppendResume(nil, rs)); err != nil {
+		return fmt.Errorf("net: resuming worker %d: %w", w, err)
+	}
+	for t := ck + 1; t <= upTo; t++ {
+		rp := c.spec.Trace.Begin(obs.PhaseReplay, t, w)
+		if err := cn.writeRecord(recStreamReplay, codec.AppendReplay(nil, codec.Replay{Round: t})); err != nil {
+			return fmt.Errorf("net: replaying round %d to worker %d: %w", t, w, err)
+		}
+		rp.End()
+	}
+	if err := cn.flush(); err != nil {
+		return fmt.Errorf("net: resuming worker %d: %w", w, err)
+	}
+	c.rep.Recoveries++
+	return nil
 }

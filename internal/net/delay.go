@@ -7,7 +7,7 @@ import (
 )
 
 // ModelDelay adapts the asynchronous simulator's dist.DelayModel to the
-// socket transport's DelayFunc seam: every outgoing frame sleeps
+// socket transport's DelayFunc seam: every non-empty outgoing flow sleeps
 // (Base + Jitter·U) × unit, with U ∈ [0,1) drawn deterministically from
 // (Seed, src, dst, round) — so a run's injected latencies are reproducible
 // like the simulator's, yet the hook is safe to install on every worker at
@@ -24,7 +24,7 @@ func ModelDelay(d dist.DelayModel, unit time.Duration) DelayFunc {
 	}
 }
 
-// modelDelay computes the deterministic sleep for one frame.
+// modelDelay computes the deterministic sleep for one flow.
 func modelDelay(d dist.DelayModel, unit time.Duration, src, dst, round int) time.Duration {
 	delay := d.Base
 	if d.Jitter > 0 {

@@ -32,10 +32,11 @@ const (
 
 // Engine is the in-process form of the socket cluster: a dist.Engine whose
 // Run spawns P Worker goroutines connected to a coordinator over real
-// net.Conns and speaks the full wire protocol — handshake, frames, barrier
-// — end to end. Executions are byte-identical to dist.SeqEngine's (package
-// comment has the argument; the equivalence and pinned-metrics tests hold
-// it to that). Obtain one with NewEngine; the zero value is not usable.
+// net.Conns and to each other over an in-process mesh, and speaks the full
+// wire protocol — handshake, streamed flows, barrier — end to end.
+// Executions are byte-identical to dist.SeqEngine's (package comment has
+// the argument; the equivalence and pinned-metrics tests hold it to that).
+// Obtain one with NewEngine; the zero value is not usable.
 type Engine struct {
 	// Transport selects the connection kind: TransportPipe (default),
 	// TransportUnix or TransportTCP. Set it before Run.
@@ -52,20 +53,21 @@ type Engine struct {
 	// failing the run. Set it before Run, together with an IOTimeout so a
 	// silent death surfaces as a timeout.
 	Recover bool
-	// RetainRounds overrides the checkpoint/relay-history retention depth K
-	// (≤ 0 means the protocol default of 4).
+	// RetainRounds overrides the retention depth K of checkpoints, digest
+	// chains and sent flows (≤ 0 means the protocol default of 4).
 	RetainRounds int
-	// Stream arms streamed delivery (DESIGN.md §14): round traffic flows
-	// worker↔worker over an in-process mesh of net.Pipe links and the
-	// coordinator only runs the barrier/digest service. Results stay
-	// byte-identical to every other engine's.
+	// Stream is ignored: round traffic always streams worker↔worker over
+	// the mesh (DESIGN.md §14).
+	//
+	// Deprecated: the coordinator relay it used to switch away from is
+	// gone; the field stays only so existing callers keep compiling.
 	Stream bool
-	// MeshThreshold is the P at or above which a streamed run relays over
-	// a hypercube instead of the full mesh (≤ 0 means the default of 16;
+	// MeshThreshold is the P at or above which a run relays over a
+	// hypercube instead of the full mesh (≤ 0 means the default of 16;
 	// power-of-two P only, and recovery forces the full mesh).
 	MeshThreshold int
-	// Window overrides the per-peer flow-control window of a streamed run
-	// (≤ 0 means the protocol default).
+	// Window overrides the per-peer flow-control window (≤ 0 means the
+	// protocol default).
 	Window int
 	// ChunkBytes overrides the streaming chunk flush threshold (≤ 0 means
 	// shard.DefaultChunkBytes). Tests shrink it to force multi-chunk flows.
@@ -83,15 +85,15 @@ type Engine struct {
 	cm    *shard.ChurnMetrics
 	// trace, when set, is installed on the coordinator spec and every
 	// in-process worker, so one tracer collects the full cluster timeline:
-	// coordinator barrier-wait/relay spans and funnel flows interleaved
-	// with per-worker step/encode/barrier-wait/deliver spans.
+	// coordinator barrier-wait/verify spans and the flow matrix interleaved
+	// with per-worker step/send/barrier-wait/recv/deliver spans.
 	trace *obs.Tracer
 	// kill is the armed fault injection (KillAt) and recov the last run's
 	// recovery count, both shared across WithWireLambda copies like sm.
 	kill  *killPlan
 	recov *int
-	// swire is the last streamed run's per-worker mesh wire counters,
-	// shared across WithWireLambda copies like sm.
+	// swire is the last run's per-worker mesh wire counters, shared across
+	// WithWireLambda copies like sm.
 	swire *[]codec.StreamWire
 }
 
@@ -141,9 +143,8 @@ func NewEngine(p int, part shard.Partitioner) *Engine {
 }
 
 // StreamWire returns each worker's cumulative mesh wire counters from the
-// most recent streamed Run (nil when Stream was off) — the per-worker wire
-// traffic that must stay ~flat as P grows, versus the relay coordinator's
-// funnel which grows with total traffic.
+// most recent Run — the per-worker wire traffic that must stay ~flat as P
+// grows, where a coordinator funnel would grow with total traffic.
 func (e *Engine) StreamWire() []codec.StreamWire {
 	return append([]codec.StreamWire(nil), *e.swire...)
 }
@@ -194,15 +195,11 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.trace = t }
 func (e *Engine) P() int { return e.p }
 
 // Name identifies the engine configuration in experiment tables,
-// e.g. "net:4/greedy" ("net:4/greedy/unix" off the default transport,
-// "net:4/greedy/stream" with streamed delivery).
+// e.g. "net:4/greedy" ("net:4/greedy/unix" off the default transport).
 func (e *Engine) Name() string {
 	n := fmt.Sprintf("net:%d/%s", e.p, e.part.Name())
 	if e.Transport != "" && e.Transport != TransportPipe {
 		n += "/" + e.Transport
-	}
-	if e.Stream {
-		n += "/stream"
 	}
 	return n
 }
@@ -277,62 +274,49 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		}
 	}
 
-	var broker *meshBroker
-	if e.Stream {
-		spec.Stream = true
-		spec.MeshThreshold = e.MeshThreshold
-		spec.Window = e.Window
-		broker = newMeshBroker(p)
-	}
+	spec.MeshThreshold = e.MeshThreshold
+	spec.Window = e.Window
+	mesh := NewLocalMesh(p)
 	var wg sync.WaitGroup
-	// runWorker is the worker goroutine body, shared between the initial
-	// spawn loop and recovery respawns so both incarnations are identical;
-	// gen is the incarnation's mesh generation (0 initial, +1 per respawn).
-	runWorker := func(s, gen int, c *Conn) {
-		defer wg.Done()
-		defer c.Close()
-		// A panicking protocol hook (a factory bug) must not hang the
-		// coordinator: convert it into an error record so the run
-		// aborts with the reason. A fault-injection kill dies silently —
-		// the closed connection is the whole point.
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && errors.Is(err, ErrKilled) {
-					return
+	// spawn starts shard s's worker goroutine over c — the initial
+	// incarnation and every recovery respawn alike. Joining the mesh before
+	// the goroutine starts numbers the incarnations in respawn order, which
+	// is the mesh-generation contract of Spec.Respawn.
+	spawn := func(s int, c *Conn) {
+		w := &Worker{c: c, g: g, assign: assign, lam: e.lam, Delay: e.Delay, Part: e.part, Trace: e.trace,
+			ChunkBytes: e.ChunkBytes, RetainRounds: e.RetainRounds, IOTimeout: e.IOTimeout}
+		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s) }
+		mesh.Join(w, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Close()
+			// A panicking protocol hook (a factory bug) must not hang the
+			// coordinator: convert it into an error record so the run
+			// aborts with the reason. A fault-injection kill dies silently —
+			// the closed connection is the whole point.
+			defer func() {
+				if r := recover(); r != nil {
+					if err, ok := r.(error); ok && errors.Is(err, ErrKilled) {
+						return
+					}
+					c.SendError(fmt.Errorf("worker panic: %v", r))
 				}
-				c.SendError(fmt.Errorf("worker panic: %v", r))
+			}()
+			if _, err := w.run(g, factory, maxRounds); err != nil && !errors.Is(err, ErrKilled) {
+				c.SendError(err)
 			}
 		}()
-		w := &Worker{c: c, g: g, assign: assign, lam: e.lam, Delay: e.Delay, Part: e.part, Trace: e.trace}
-		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s) }
-		if broker != nil {
-			ib := broker.register(s)
-			w.MeshDial = broker.dial
-			w.MeshAccept = ib.accept
-			w.MeshClose = func() { broker.close(ib) }
-			w.MeshGen = gen
-			w.ChunkBytes = e.ChunkBytes
-			w.RetainRounds = e.RetainRounds
-			w.IOTimeout = e.IOTimeout
-		}
-		if _, err := w.run(g, factory, maxRounds); err != nil && !errors.Is(err, ErrKilled) {
-			c.SendError(err)
-		}
 	}
 	for s := 0; s < p; s++ {
-		wg.Add(1)
-		go runWorker(s, 0, workers[s])
+		spawn(s, workers[s])
 	}
 	if e.Recover {
 		spec.Recover = true
 		spec.RetainRounds = e.RetainRounds
 		// Respawned workers always run over a fresh net.Pipe pair, whatever
 		// the original transport: the protocol bytes are transport-agnostic
-		// and the pipe needs no listener plumbing. meshGens implements the
-		// streamed Respawn contract — the new incarnation's mesh generation
-		// is the number of respawns performed for the shard. Touched only by
-		// the coordinator goroutine.
-		meshGens := make([]int, p)
+		// and the pipe needs no listener plumbing.
 		spec.Respawn = func(s int) (*Conn, error) {
 			a, b := net.Pipe()
 			cc, wc := NewConn(a), NewConn(b)
@@ -340,9 +324,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 				cc.SetIOTimeout(e.IOTimeout)
 				wc.SetIOTimeout(e.IOTimeout)
 			}
-			meshGens[s]++
-			wg.Add(1)
-			go runWorker(s, meshGens[s], wc)
+			spawn(s, wc)
 			return cc, nil
 		}
 	}
@@ -363,14 +345,16 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	return met
 }
 
-// meshBroker is the in-process stand-in for the mesh listeners of a real
-// deployment: each worker incarnation registers an inbox of inbound mesh
-// connections, and a dial manufactures a net.Pipe pair, parking one end in
-// the destination's current inbox. Respawns re-register, closing the dead
-// incarnation's inbox so its accept loop exits.
-type meshBroker struct {
+// LocalMesh is the in-process stand-in for the workers' listen sockets:
+// each worker incarnation registers an inbox of inbound mesh connections,
+// and a dial manufactures a net.Pipe pair, parking one end in the
+// destination's current inbox. A respawn re-registers, closing the dead
+// incarnation's inbox so its accept loop exits. Engine.Run and
+// internal/session's epoch 0 wire their workers through it.
+type LocalMesh struct {
 	mu      sync.Mutex
 	inboxes []*meshInbox
+	gens    []int // incarnations joined per shard
 }
 
 // meshInbox is one incarnation's inbound mesh connection queue.
@@ -379,13 +363,17 @@ type meshInbox struct {
 	closed bool
 }
 
-func newMeshBroker(p int) *meshBroker {
-	return &meshBroker{inboxes: make([]*meshInbox, p)}
+// NewLocalMesh returns an empty in-process mesh for p workers.
+func NewLocalMesh(p int) *LocalMesh {
+	return &LocalMesh{inboxes: make([]*meshInbox, p), gens: make([]int, p)}
 }
 
-// register installs a fresh inbox for shard s's newest incarnation, closing
-// any previous one.
-func (b *meshBroker) register(s int) *meshInbox {
+// Join wires w's mesh endpoints (MeshDial, MeshAccept, MeshClose, MeshGen)
+// as the newest incarnation of shard s. The first Join for s is generation
+// 0 and each later one — a respawn — one more, so joining every respawned
+// worker exactly once, in respawn order, honors the mesh-generation
+// contract of Spec.Respawn.
+func (b *LocalMesh) Join(w *Worker, s int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if old := b.inboxes[s]; old != nil {
@@ -395,19 +383,21 @@ func (b *meshBroker) register(s int) *meshInbox {
 	// so dialers never block parking a conn.
 	ib := &meshInbox{ch: make(chan net.Conn, 2*len(b.inboxes))}
 	b.inboxes[s] = ib
-	return ib
+	w.MeshGen = b.gens[s]
+	b.gens[s]++
+	w.MeshDial = b.dial
+	w.MeshAccept = ib.accept
+	w.MeshClose = func() {
+		b.mu.Lock()
+		b.closeLocked(ib)
+		b.mu.Unlock()
+	}
 }
 
-// close shuts one incarnation's inbox (idempotent): its accept loop exits,
-// and any parked conns are closed so their dialers' handshakes fail fast
-// and retry against the successor inbox.
-func (b *meshBroker) close(ib *meshInbox) {
-	b.mu.Lock()
-	b.closeLocked(ib)
-	b.mu.Unlock()
-}
-
-func (b *meshBroker) closeLocked(ib *meshInbox) {
+// closeLocked shuts one incarnation's inbox (idempotent): its accept loop
+// exits, and any parked conns are closed so their dialers' handshakes fail
+// fast and retry against the successor inbox.
+func (b *LocalMesh) closeLocked(ib *meshInbox) {
 	if ib.closed {
 		return
 	}
@@ -428,7 +418,7 @@ func (ib *meshInbox) accept() (net.Conn, error) {
 }
 
 // dial connects to shard dst's current incarnation.
-func (b *meshBroker) dial(dst int) (net.Conn, error) {
+func (b *LocalMesh) dial(dst int) (net.Conn, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ib := b.inboxes[dst]

@@ -16,7 +16,7 @@ import (
 func FuzzReadRecord(f *testing.F) {
 	f.Add(codec.AppendRecord(nil, []byte{recHello, 1, 2, 3}))
 	f.Add(codec.AppendRecord(nil, []byte{RecDeltaPush, 0, 0}))
-	f.Add(codec.AppendRecord(codec.AppendRecord(nil, []byte{recStep, 1}), []byte{recDone, 1, 0, 0}))
+	f.Add(codec.AppendRecord(codec.AppendRecord(nil, []byte{recStep, 1}), []byte{recStreamDone, 1, 0, 0}))
 	f.Add([]byte{0})                                                          // empty record: an error, not a crash
 	f.Add([]byte{0x05})                                                       // length with no payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile length

@@ -11,10 +11,10 @@ import (
 	"distkcore/internal/codec"
 )
 
-// This file is the mesh data plane of streamed delivery (DESIGN.md §14):
-// the worker↔worker connections that carry peer-frame chunks, flow-control
+// This file is the data plane of the cluster (DESIGN.md §14): the
+// worker↔worker connections that carry peer-frame chunks, flow-control
 // credits and end-of-flow markers, leaving the coordinator connection to the
-// barrier records only. One mesh lives inside each streamed Worker.
+// barrier records only. One mesh lives inside each Worker for one run.
 //
 // Concurrency shape: per link, one reader goroutine (decode, relay-forward,
 // round-gate, credit) and one writer goroutine draining an ordered queue.
@@ -598,7 +598,7 @@ func (m *mesh) processChunkLocked(pf codec.PeerFrame, full, msgs []byte) error {
 		return err
 	}
 	m.nextSeq[pf.Src]++
-	m.rxDig[pf.Src] = foldFrame(m.rxDig[pf.Src], full)
+	m.rxDig[pf.Src] = foldChunk(m.rxDig[pf.Src], full)
 	m.cond.Broadcast()
 	return nil
 }
@@ -747,7 +747,7 @@ func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	payload = append(payload, body...)
 	m.sendSeq[dst]++
 	m.sChunks[dst]++
-	m.sDig[dst] = foldFrame(m.sDig[dst], payload)
+	m.sDig[dst] = foldChunk(m.sDig[dst], payload)
 	m.wire.Sent += int64(len(payload) + 1)
 	m.wire.Chunks++
 	m.retainLocked(dst, recPeerFrame, payload)
@@ -981,8 +981,18 @@ func (m *mesh) wireSnapshot() codec.StreamWire {
 	return m.wire
 }
 
+// foldChunk folds one chunk or end record payload into a flow digest:
+// FNV-1a over the length, then the bytes.
+func foldChunk(h uint64, payload []byte) uint64 {
+	h = (h ^ uint64(len(payload))) * 1099511628211
+	for _, b := range payload {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
+}
+
 // foldU64 folds one 64-bit digest into a chain, little-endian byte by byte,
-// with the frame chain's FNV-1a step.
+// with the same FNV-1a step.
 func foldU64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = (h ^ (v & 0xff)) * 1099511628211

@@ -1,11 +1,16 @@
 package net
 
 import (
+	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -129,6 +134,7 @@ func TestCoordinatorCollectsValues(t *testing.T) {
 		a, b := net.Pipe()
 		coord[i], workers[i] = NewConn(a), NewConn(b)
 	}
+	mesh := NewLocalMesh(P)
 	var wg sync.WaitGroup
 	for i := range workers {
 		wg.Add(1)
@@ -147,6 +153,7 @@ func TestCoordinatorCollectsValues(t *testing.T) {
 			}
 			w := NewWorker(wc, g, assign)
 			w.Hello = h
+			mesh.Join(w, h.Shard)
 			res, _ := core.RunDistributed(g, core.Options{Rounds: h.MaxRounds, Lambda: hlam}, w)
 			if err := w.SendValues(res.B); err != nil {
 				t.Error(err)
@@ -180,5 +187,105 @@ func TestCoordinatorCollectsValues(t *testing.T) {
 		if b[v] != ref.B[v] {
 			t.Fatalf("node %d: cluster value %v, seq value %v", v, b[v], ref.B[v])
 		}
+	}
+}
+
+// The retired coordinator-relay records (4 frame, 5 done, 6 deliver, 21
+// replay) keep their numbers reserved: a worker that receives one mid-run
+// must reject it as an unknown record type, not interpret it.
+func TestRetiredRelayRecordsRejected(t *testing.T) {
+	g := graph.BarabasiAlbert(40, 3, 1)
+	assign := shard.Hash{}.Partition(g, 1)
+	for _, typ := range []byte{4, 5, 6, 21} {
+		a, b := net.Pipe()
+		cc, wc := NewConn(a), NewConn(b)
+		w := NewWorker(wc, g, assign)
+		NewLocalMesh(1).Join(w, 0)
+		errc := make(chan error, 1)
+		go func() {
+			_, err := w.run(g, func(graph.NodeID) dist.Program { return nil }, 3)
+			errc <- err
+		}()
+		h := codec.Hello{Version: codec.HandshakeVersion, P: 1, MaxRounds: 3,
+			GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}
+		if err := cc.writeRecord(recHello, codec.AppendHello(nil, h)); err != nil {
+			t.Fatal(err)
+		}
+		cc.flush()
+		if rt, _, err := cc.readRecord(); err != nil || rt != recWelcome {
+			t.Fatalf("record %d: handshake reply type %d, err %v", typ, rt, err)
+		}
+		cc.writeRecord(typ, []byte{0, 0})
+		cc.flush()
+		err := <-errc
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unexpected record type %d", typ)) {
+			t.Fatalf("record %d: worker error %v, want an unknown-record rejection", typ, err)
+		}
+		cc.Close()
+		wc.Close()
+	}
+}
+
+// A worker's Listener hands each accepted connection to the queue its first
+// record names — a hello to AcceptCoordinator, a mesh hello to AcceptMesh —
+// with that record still unread, and Close releases a blocked Accept and
+// every goroutine the listener started.
+func TestListenerSplitsCoordinatorAndMesh(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.ln.Addr().String()
+	send := func(typ byte, body []byte) net.Conn {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewConn(nc)
+		c.writeRecord(typ, body)
+		c.flush()
+		return nc
+	}
+	// The mesh link dials first: arrival order must not decide the kind.
+	m := send(recMeshHello, []byte{1, 0})
+	defer m.Close()
+	h := send(recHello, []byte("hi"))
+	defer h.Close()
+	for _, want := range []struct {
+		accept func() (net.Conn, error)
+		typ    byte
+		body   string
+	}{{ln.AcceptCoordinator, recHello, "hi"}, {ln.AcceptMesh, recMeshHello, "\x01\x00"}} {
+		nc, err := want.accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, body, err := NewConn(nc).readRecord()
+		if err != nil || typ != want.typ || string(body) != want.body {
+			t.Fatalf("accepted record (%d, %q, %v), want (%d, %q)", typ, body, err, want.typ, want.body)
+		}
+		nc.Close()
+	}
+	silent, err := net.Dial("tcp", addr) // never classified
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := ln.AcceptMesh()
+		errc <- err
+	}()
+	ln.Close()
+	if err := <-errc; err == nil {
+		t.Fatal("AcceptMesh returned a connection after Close")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("listener goroutines outlived Close: %d before, %d after", before, got)
 	}
 }

@@ -24,10 +24,8 @@ import (
 // any checkpoint exists), 1 (first resumable round), the middle and the
 // final round (whose recovery surfaces at the finish phase).
 
-// killPhases are the worker-side fault-injection seams of the relay round
-// loop. The streamed loop replaces encode with the send tap and adds the
-// receive wait as a new seam, so its sweep covers send/recv instead.
-var killPhases = []obs.Phase{obs.PhaseStep, obs.PhaseEncode, obs.PhaseBarrierWait, obs.PhaseDeliver}
+// streamKillPhases are the worker-side fault-injection seams of the round
+// loop.
 var streamKillPhases = []obs.Phase{obs.PhaseStep, obs.PhaseSend, obs.PhaseBarrierWait, obs.PhaseRecv, obs.PhaseDeliver}
 
 func recoveryEngine(p int) *Engine {
@@ -37,12 +35,11 @@ func recoveryEngine(p int) *Engine {
 	return e
 }
 
-// streamRecoveryEngine arms recovery on the streamed mesh. Tiny chunks force
-// the kill points to land mid-flow, so restarts exercise the seq-gated
-// resend path rather than whole-frame retransmits.
+// streamRecoveryEngine arms recovery with tiny chunks, which force the kill
+// points to land mid-flow, so restarts exercise the seq-gated resend path
+// rather than whole-flow retransmits.
 func streamRecoveryEngine(p int) *Engine {
 	e := recoveryEngine(p)
-	e.Stream = true
 	e.ChunkBytes = 256
 	return e
 }
@@ -58,7 +55,6 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 		mk     func(int) *Engine
 		phases []obs.Phase
 	}{
-		{"relay", recoveryEngine, killPhases},
 		{"stream", streamRecoveryEngine, streamKillPhases},
 	}
 	for _, mode := range modes {

@@ -24,7 +24,6 @@ import (
 
 func streamEngine(p int, part shard.Partitioner) *Engine {
 	e := NewEngine(p, part)
-	e.Stream = true
 	e.ChunkBytes = 512 // force multi-chunk flows and window refills
 	return e
 }
@@ -163,36 +162,43 @@ func TestStreamSoakP64(t *testing.T) {
 	}
 }
 
-// The streamed ledger must price frames identically to the relay path: the
-// ClusterMetrics of a streamed run and a relay run of the same execution
-// are the same struct, chunking and topology notwithstanding.
+// The streamed ledger must price frames identically to the in-process
+// sharded engine (DESIGN.md §8): the ClusterMetrics of a streamed run and
+// the ShardMetrics of a shard.Engine run of the same execution are the same
+// struct, chunking and topology notwithstanding. The shard.Engine ledger is
+// the one the coordinator relay used to reproduce, so the check is unchanged.
 func TestStreamLedgerMatchesRelay(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 4, 13)
 	T := core.TForEpsilon(g.N(), 0.5)
 	opt := core.Options{Rounds: T, Lambda: quantize.NewPowerGrid(0.1)}
 
-	relay := NewEngine(4, shard.Greedy{})
-	_, relayMet := core.RunDistributed(g, opt, relay)
+	ref := shard.NewEngine(4, shard.Greedy{})
+	_, refMet := core.RunDistributed(g, opt, ref)
 
 	for _, threshold := range []int{0, 4} {
 		e := streamEngine(4, shard.Greedy{})
 		e.MeshThreshold = threshold
 		_, met := core.RunDistributed(g, opt, e)
-		if met != relayMet {
-			t.Fatalf("threshold=%d metrics %+v, want %+v", threshold, met, relayMet)
+		if met != refMet {
+			t.Fatalf("threshold=%d metrics %+v, want %+v", threshold, met, refMet)
 		}
-		if lg, rl := e.ClusterMetrics(), relay.ClusterMetrics(); !reflect.DeepEqual(lg, rl) {
-			t.Fatalf("threshold=%d streamed ledger %+v, relay ledger %+v", threshold, lg, rl)
+		if lg, sl := e.ClusterMetrics(), ref.ShardMetrics(); !reflect.DeepEqual(lg, sl) {
+			t.Fatalf("threshold=%d streamed ledger %+v, shard-engine ledger %+v", threshold, lg, sl)
 		}
 	}
 }
 
-// Engine names must encode the streamed mode so benchmark rows and test
-// failures identify the transport: suffix ordering is pinned here.
+// Engine names identify the transport and partitioner only: streaming is
+// the sole data plane, so the deprecated Stream field must not change them.
 func TestStreamEngineName(t *testing.T) {
 	e := streamEngine(4, shard.Hash{})
-	if got, want := e.Name(), "net:4/hash/stream"; got != want {
+	want := "net:4/hash"
+	if got := e.Name(); got != want {
 		t.Fatalf("Name() = %q, want %q", got, want)
+	}
+	e.Stream = true
+	if got := e.Name(); got != want {
+		t.Fatalf("Name() with Stream set = %q, want %q", got, want)
 	}
 }
 

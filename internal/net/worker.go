@@ -24,57 +24,50 @@ import (
 var ErrKilled = errors.New("net: worker killed by fault injection")
 
 // KillFunc is the fault-injection seam of the recovery test harness: a
-// worker consults it at each phase boundary of its round loop (step,
-// encode, barrier-wait, deliver) and dies on the spot when it returns true.
+// worker consults it at each phase boundary of its round loop (step, send,
+// barrier-wait, recv, deliver) and dies on the spot when it returns true.
 type KillFunc func(phase obs.Phase, round int) bool
 
-// frameChainSeed starts each worker's frame-chain digest: an FNV-1a fold
-// (offset basis, 64-bit prime) over every relayed frame the worker
-// receives, length then bytes, maintained identically by the coordinator at
-// relay time. A checkpoint carries the chain so the coordinator can verify
-// the worker received exactly the bytes it relayed — and a replayed
-// catch-up, folding the identical frames in the identical order, lands on
-// the identical chain (DESIGN.md §13).
+// frameChainSeed starts every digest of the mesh protocol: the per-flow
+// chunk digests, the per-round receive digest and each worker's cumulative
+// frame chain (FNV-1a offset basis). A checkpoint carries the chain so the
+// coordinator can verify the worker received exactly the flows its peers
+// proved they sent — and a catch-up replay, folding the identical resent
+// flows in the identical order, lands on the identical chain (DESIGN.md
+// §13).
 const frameChainSeed = uint64(14695981039346656037)
 
-// foldFrame folds one relayed frame record body into the chain.
-func foldFrame(h uint64, body []byte) uint64 {
-	h = (h ^ uint64(len(body))) * 1099511628211
-	for _, b := range body {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
-}
-
 // DelayFunc is the transport's latency-injection seam: when non-nil a
-// worker calls it immediately before writing each cross-shard frame, with
-// the frame's shard pair, round and wire size. A hook may sleep
-// (netem-style link simulation) but must not mutate run state. It exists so
-// the async/dynamic lines can later plug delay models into the real
-// transport without touching the engine: the coordinator's barrier makes
-// the execution independent of timing, so a delay can slow a run but never
-// change its bytes.
+// worker calls it once per non-empty (src, dst, round) flow, after the
+// flow's chunks are queued and before its end marker, with the flow's
+// logical frame bytes (shard.LogicalFrameBytes — what the cluster ledger
+// prices). A hook may sleep (netem-style link simulation) but must not
+// mutate run state: the round barrier makes the execution independent of
+// timing, so a delay can slow a run but never change its bytes.
 type DelayFunc func(src, dst, round, frameBytes int)
 
 // Worker is the worker-side endpoint of the cluster protocol: a
 // dist.Engine whose Run participates in one coordinated run over a
 // connection instead of driving rounds itself. It holds the full graph and
 // the full shard assignment, steps only the nodes the hello's shard index
-// assigns to it, and replays the frames the coordinator relays through
-// ghost programs so its local delivery is byte-identical to the global
-// execution (see the package comment for the argument).
+// assigns to it, streams its cross-shard sends to their owners over the
+// worker mesh, and replays what it receives through ghost programs so its
+// local delivery is byte-identical to the global execution (see the
+// package comment for the argument).
 //
 // The in-process Engine constructs Workers itself. cmd/cluster uses one
 // directly: read the hello with ReadHello, resolve graph/partition/
-// protocol from its spec strings, set Hello, and hand the Worker to a
-// protocol driver (core.RunDistributed, densest.RunWeakDistributed) as its
-// engine. The returned Metrics carry this shard's share of
-// Messages/Words/WireBytes and the coordinator's run-level Rounds/Halted.
+// protocol from its spec strings, set Hello and the mesh endpoints, and
+// hand the Worker to a protocol driver (core.RunDistributed,
+// densest.RunWeakDistributed) as its engine. The returned Metrics carry
+// this shard's share of Messages/Words/WireBytes and the coordinator's
+// run-level Rounds/Halted.
 type Worker struct {
 	// Hello is the pre-read handshake record; when nil, Run reads it from
 	// the connection as its first act.
 	Hello *codec.Hello
-	// Delay, when non-nil, runs before each outgoing frame write.
+	// Delay, when non-nil, runs once per non-empty outgoing flow per round
+	// (see DelayFunc).
 	Delay DelayFunc
 	// Part is the partitioner that produced the worker's assignment. It is
 	// only consulted when the hello announces a churn batch (DeltaDigest ≠
@@ -82,20 +75,21 @@ type Worker struct {
 	// coordinator ran to land on the pinned partition digest. A churn run
 	// without it is a protocol error.
 	Part shard.Partitioner
-	// Trace, when set, records this worker's per-round timeline: step,
-	// encode (framing + frame writes), barrier-wait (done flushed → deliver
-	// record arrives) and deliver spans, all under the worker's shard index.
+	// Trace, when set, records this worker's per-round timeline: step, send
+	// (streaming the round's flows), barrier-wait (done flushed → release
+	// record arrives), recv (awaiting every inbound flow) and deliver
+	// spans, all under the worker's shard index.
 	Trace *obs.Tracer
 	// Kill, when non-nil, is the fault-injection hook (KillFunc): consulted
 	// at every phase boundary of the round loop, a true return crashes the
-	// worker — connection closed, no error record, Run dies with ErrKilled.
+	// worker — connections closed, no error record, Run dies with ErrKilled.
 	Kill KillFunc
 
-	// Streamed-delivery plumbing (DESIGN.md §14), consulted only when the
-	// hello arms Stream. MeshDial opens a raw connection to a peer's mesh
-	// endpoint; MeshAccept blocks for the next inbound one (and must error
-	// out once MeshClose runs); MeshGen is this incarnation's generation —
-	// 0 initially, +1 per respawn, so peers prefer the newest link.
+	// Mesh endpoints (DESIGN.md §14). MeshDial opens a raw connection to a
+	// peer's mesh endpoint; MeshAccept blocks for the next inbound one (and
+	// must error out once MeshClose runs); MeshGen is this incarnation's
+	// generation — 0 initially, +1 per respawn, so peers prefer the newest
+	// link. LocalMesh.Join sets all four for in-process workers.
 	MeshDial   func(dst int) (net.Conn, error)
 	MeshAccept func() (net.Conn, error)
 	MeshClose  func()
@@ -104,8 +98,8 @@ type Worker struct {
 	// shard.DefaultChunkBytes). Every incarnation of every worker must use
 	// the same value: recovery re-steps re-produce the identical chunking.
 	ChunkBytes int
-	// RetainRounds is the streamed retention depth K for recovery resends
-	// (≤ 0 means the protocol default of 4, matching the coordinator's).
+	// RetainRounds is the retention depth K for recovery resends (≤ 0
+	// means the protocol default of 4, matching the coordinator's).
 	RetainRounds int
 	// IOTimeout bounds mesh formation, flush barriers and — without
 	// recovery — the receive barrier (0 means wait forever).
@@ -149,14 +143,14 @@ func (w *Worker) WithWireLambda(lam quantize.Lambda) dist.Engine {
 func (w *Worker) Name() string { return "net-worker" }
 
 // Run implements dist.Engine. It performs the handshake (unless Hello was
-// pre-read) and serves rounds until the coordinator finishes the run. Any
-// connection failure or protocol violation panics after a best-effort error
-// record to the coordinator; cmd/cluster's worker recovers the panic into
-// an exit status. When the hello armed Recover (DESIGN.md §13), the worker
-// additionally checkpoints its driver state after every delivery and — in a
-// respawned incarnation — honors the coordinator's resume/replay records to
-// rejoin the run at the exact sealed barrier; worker death is then the
-// coordinator's problem, not the run's.
+// pre-read), forms the mesh and serves rounds until the coordinator
+// finishes the run. Any connection failure or protocol violation panics
+// after a best-effort error record to the coordinator; cmd/cluster's worker
+// recovers the panic into an exit status. When the hello armed Recover
+// (DESIGN.md §13), the worker additionally checkpoints its driver state
+// after every delivery and — in a respawned incarnation — honors the
+// coordinator's resume/replay records to rejoin the run at the exact sealed
+// barrier; worker death is then the coordinator's problem, not the run's.
 func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
 	met, err := w.run(g, factory, maxRounds)
 	if err != nil {
@@ -197,7 +191,7 @@ type replayMsg struct {
 // ghost is the stand-in Program for every node owned by another worker: it
 // never acts on its own, only re-issues (in original send order) the
 // messages the real remote node sent this round, as decoded from the
-// relayed frames. Sending through the ordinary Ctx is what slots the
+// received chunks. Sending through the ordinary Ctx is what slots the
 // remote traffic into the local Driver's deterministic delivery order.
 type ghost struct {
 	pending [][]replayMsg
@@ -302,13 +296,97 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		}
 		return gh
 	})
+	return w.serveRounds(h, lam, d, gh, local, assign)
+}
 
-	if h.Stream {
-		// Streamed delivery (DESIGN.md §14): rounds flow worker↔worker over
-		// a mesh instead of through the coordinator. The mesh must form
-		// before the welcome — the coordinator treats the welcome as "ready
-		// for round records".
-		return w.runStream(h, lam, d, gh, local, assign, n)
+// serveRounds is the worker's round loop (DESIGN.md §14): cross-shard sends
+// stream straight to their destination workers over the mesh as the local
+// step produces them, and the coordinator connection carries only barrier
+// records — done (with per-peer sent digests), the release, the ack (with
+// per-peer received digests), checkpoints. The mesh forms before the
+// welcome is sent, so "welcomed" means "reachable by peers".
+func (w *Worker) serveRounds(h *codec.Hello, lam quantize.Lambda, d *dist.Driver,
+	gh *ghost, local []graph.NodeID, assign []int) (dist.Metrics, error) {
+	p, n := h.P, len(assign)
+	if w.MeshDial == nil || w.MeshAccept == nil {
+		return dist.Metrics{}, fmt.Errorf("net: worker %d has no mesh endpoints", h.Shard)
+	}
+	if h.MeshKind != codec.MeshFull && h.MeshKind != codec.MeshCube {
+		return dist.Metrics{}, fmt.Errorf("net: unknown mesh kind %d", h.MeshKind)
+	}
+	if h.MeshKind == codec.MeshCube && p&(p-1) != 0 {
+		return dist.Metrics{}, fmt.Errorf("net: hypercube mesh needs a power-of-two P, got %d", p)
+	}
+	retainK := w.RetainRounds
+	if retainK <= 0 {
+		retainK = 4
+	}
+
+	// Decoded Vec payloads live exactly one round, but chunks of round t can
+	// arrive while round t-1's vectors are still feeding local hooks — so the
+	// arenas double-buffer by round parity: slot t%2 is reset at
+	// beginRound(t), when its round t-2 tenants are provably dead. One arena
+	// pair per source keeps each reader goroutine's decodes disjoint.
+	// CheckVecAliasing re-hashes delivered Vecs one delivery later, so under
+	// the checker every Vec gets a fresh allocation instead.
+	var arenas [][2]*shard.VecArena
+	if !dist.CheckVecAliasing {
+		arenas = make([][2]*shard.VecArena, p)
+		for i := range arenas {
+			arenas[i][0], arenas[i][1] = new(shard.VecArena), new(shard.VecArena)
+		}
+	}
+	// senders and gh.pending are written by mesh readers (under the mesh
+	// mutex) and consumed by this goroutine strictly after waitComplete —
+	// which acquires the same mutex, ordering the accesses.
+	var senders []graph.NodeID
+	deliver := func(src, round int, body []byte, count int) error {
+		var ar *shard.VecArena
+		if arenas != nil {
+			ar = arenas[src][round&1]
+		}
+		cnt := 0
+		for len(body) > 0 {
+			to, msg, used, err := shard.DecodeMessage(body, lam, ar)
+			if err != nil {
+				return err
+			}
+			body = body[used:]
+			u := msg.From
+			if u < 0 || u >= n || assign[u] != src {
+				return fmt.Errorf("net: chunk %d→%d carries sender %d not owned by shard %d", src, h.Shard, u, src)
+			}
+			if to < 0 || to >= n || assign[to] != h.Shard {
+				return fmt.Errorf("net: chunk %d→%d addresses node %d outside shard %d", src, h.Shard, to, h.Shard)
+			}
+			if len(gh.pending[u]) == 0 {
+				senders = append(senders, u)
+			}
+			gh.pending[u] = append(gh.pending[u], replayMsg{to: to, m: msg})
+			cnt++
+		}
+		if cnt != count {
+			return fmt.Errorf("net: chunk %d→%d decoded %d messages, header says %d", src, h.Shard, cnt, count)
+		}
+		return nil
+	}
+
+	m := newMesh(meshConfig{
+		Self: h.Shard, P: p, Kind: h.MeshKind, Window: h.Window, Gen: w.MeshGen,
+		Recover: h.Recover, RetainK: retainK, Timeout: w.IOTimeout,
+		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
+		Deliver: deliver,
+	})
+	w.mesh = m
+	defer func() {
+		// Drop the mesh with the run: its links, retention rings and arenas
+		// must not stay reachable from a Worker that outlives the run (a
+		// session worker keeps serving epochs on the same connection).
+		m.Close()
+		w.mesh = nil
+	}()
+	if err := m.form(); err != nil {
+		return dist.Metrics{}, err
 	}
 
 	if err := w.c.writeRecord(recWelcome, codec.AppendWelcome(nil, codec.Welcome{
@@ -324,65 +402,178 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		return dist.Metrics{}, err
 	}
 
-	// Decoded Vec payloads live exactly one round; the arena recycles their
-	// blocks. CheckVecAliasing re-hashes delivered Vecs one delivery later —
-	// after this worker has already decoded the next round's frames over the
-	// arena — so under the checker every Vec gets a fresh allocation instead.
-	var arena *shard.VecArena
-	if !dist.CheckVecAliasing {
-		arena = new(shard.VecArena)
+	chunk := w.ChunkBytes
+	if chunk <= 0 {
+		chunk = shard.DefaultChunkBytes
 	}
-	frames := make([]struct {
-		buf   []byte
-		count int
-	}, h.P)
-	var hdrBuf []byte
+	streams := make([]*shard.PeerStream, p)
+	for q := 0; q < p; q++ {
+		if q == h.Shard {
+			continue
+		}
+		q := q
+		streams[q] = &shard.PeerStream{Lam: lam, Limit: chunk,
+			Flush: func(body []byte, count int) error { return m.sendChunk(q, body, count) }}
+	}
+
 	var mMsgs, mWords, mWire int64
-	var senders []graph.NodeID // remote senders with pending replays this round
-	framesIn := 0
+	chain := frameChainSeed
 	curRound := -1
 	// bw is the round's pending barrier-wait span: begun once the done
-	// record is flushed, ended when the coordinator's deliver record
-	// arrives — the time this worker spends parked at the barrier.
+	// record is flushed, ended when the coordinator's release arrives — the
+	// time this worker spends parked at the barrier.
 	var bw obs.SpanRef
-	// Recovery state (DESIGN.md §13): the frame-chain digest over received
-	// relayed frames, and the count of replayed frames still expected for
-	// the current catch-up round (0 outside catch-up).
-	chain := frameChainSeed
-	replayLeft := 0
 
-	// deliverNow is the shared tail of a round: ghost replay slots the
-	// remote sends into the Driver's queues, Deliver assembles every local
-	// inbox in the global deterministic order (ascending sender, ties in
-	// send order), and — under Recover — the sealed barrier state ships to
-	// the coordinator as a checkpoint. Both the normal deliver record and
-	// the last replayed frame of a catch-up round land here.
-	deliverNow := func() error {
-		bw.End()
-		bw = obs.SpanRef{}
-		dl := w.Trace.Begin(obs.PhaseDeliver, curRound, h.Shard)
+	onNewRound := func(t int) func() {
+		if arenas == nil {
+			return nil
+		}
+		return func() {
+			for i := range arenas {
+				arenas[i][t&1].Reset()
+			}
+		}
+	}
+
+	// stepRound runs the local half of round t: step hooks, tap sends into
+	// the per-peer streams (suppressed during catch-up replay — the peers
+	// already hold this incarnation's predecessors' bytes), end every flow,
+	// drain the mesh writers, and report done. The flow ledger prices
+	// logical frame bytes (one shard-engine header plus bodies per nonempty
+	// flow), which is what keeps ClusterMetrics bit-equal to ShardMetrics.
+	stepRound := func(t int, suppress bool) error {
+		curRound = t
+		if err := m.beginRound(t, onNewRound(t)); err != nil {
+			return err
+		}
+		sp := w.Trace.Begin(obs.PhaseStep, t, h.Shard)
+		for _, v := range local {
+			d.Step(v, t)
+		}
+		sp.EndN(0, int64(len(local)))
+		if !suppress && w.killed(obs.PhaseSend, t) {
+			return ErrKilled
+		}
+		sn := w.Trace.Begin(obs.PhaseSend, t, h.Shard)
+		var serr error
+		for _, v := range local {
+			d.Sends(v, func(to graph.NodeID, msg dist.Message) {
+				mMsgs++
+				mWords += int64(msg.Words())
+				mWire += int64(dist.WireSize(lam, msg))
+				if q := assign[to]; q != h.Shard && !suppress && serr == nil {
+					serr = streams[q].Append(to, msg)
+				}
+			})
+			if serr != nil {
+				return serr
+			}
+		}
+		if suppress {
+			sn.End()
+			return nil
+		}
+		ents := make([]codec.PeerDigest, 0, p-1)
+		var logicalBytes, logicalMsgs int64
+		for q := 0; q < p; q++ {
+			if q == h.Shard {
+				continue
+			}
+			ps := streams[q]
+			if err := ps.Finish(); err != nil {
+				return err
+			}
+			lb := shard.LogicalFrameBytes(h.Shard, q, t, ps.Msgs, ps.BodyBytes)
+			if w.Delay != nil && lb > 0 {
+				w.Delay(h.Shard, q, t, int(lb))
+			}
+			e, err := m.sendEnd(q, int64(ps.Msgs), lb)
+			if err != nil {
+				return err
+			}
+			ents = append(ents, e)
+			logicalBytes += lb
+			logicalMsgs += int64(ps.Msgs)
+			ps.Reset()
+		}
+		// Drain the writers before done: "done received" must mean "this
+		// worker's chunks are on the wire", or a death right after done
+		// could strand peers waiting on flows nobody will resend for it.
+		if err := m.barrier(); err != nil {
+			return err
+		}
+		sn.EndN(logicalBytes, logicalMsgs)
+		alive := 0
+		for _, v := range local {
+			if !d.Halted(v) {
+				alive++
+			}
+		}
+		if err := w.c.writeRecord(recStreamDone, codec.AppendStreamDone(nil,
+			codec.StreamDone{Round: t, Alive: alive, Sent: ents})); err != nil {
+			return err
+		}
+		if err := w.c.flush(); err != nil {
+			return err
+		}
+		if w.killed(obs.PhaseBarrierWait, t) {
+			return ErrKilled
+		}
+		bw = w.Trace.Begin(obs.PhaseBarrierWait, t, h.Shard)
+		return nil
+	}
+
+	// completeRound runs the receive half: await every inbound flow's end
+	// marker, deliver in the global deterministic order (ascending sender,
+	// ties in send order), checkpoint (before the ack — an acked round is
+	// always restorable), then ack with the received digests and wire
+	// counters.
+	completeRound := func(t int, ack bool) error {
+		if w.killed(obs.PhaseRecv, t) {
+			return ErrKilled
+		}
+		rv := w.Trace.Begin(obs.PhaseRecv, t, h.Shard)
+		ents, roundDig, err := m.waitComplete(t)
+		if err != nil {
+			return err
+		}
+		var rb, rc int64
+		for _, e := range ents {
+			rb += e.Bytes
+			rc += int64(e.Chunks)
+		}
+		rv.EndN(rb, rc)
+		if w.killed(obs.PhaseDeliver, t) {
+			return ErrKilled
+		}
+		dl := w.Trace.Begin(obs.PhaseDeliver, t, h.Shard)
 		for _, u := range senders {
-			d.Step(u, curRound)
+			d.Step(u, t)
 			gh.pending[u] = gh.pending[u][:0]
 		}
 		senders = senders[:0]
-		framesIn = 0
 		d.Deliver(nil)
 		dl.End()
+		chain = foldU64(chain, roundDig)
 		if h.Recover {
 			st, err := d.AppendSnapshot(nil, local)
 			if err != nil {
 				return err
 			}
 			if err := w.c.writeRecord(recCheckpoint, codec.AppendCheckpoint(nil, codec.Checkpoint{
-				Round: curRound, FrameChain: chain,
+				Round: t, FrameChain: chain,
 				Msgs: mMsgs, Words: mWords, Wire: mWire, State: st,
 			})); err != nil {
 				return err
 			}
-			return w.c.flush()
 		}
-		return nil
+		if ack {
+			if err := w.c.writeRecord(recStreamAck, codec.AppendStreamAck(nil,
+				codec.StreamAck{Round: t, Wire: m.wireSnapshot(), Recv: ents})); err != nil {
+				return err
+			}
+		}
+		return w.c.flush()
 	}
 
 	for {
@@ -399,151 +590,47 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if w.killed(obs.PhaseStep, int(t)) {
 				return dist.Metrics{}, ErrKilled
 			}
-			curRound = int(t)
-			sp := w.Trace.Begin(obs.PhaseStep, curRound, h.Shard)
-			for _, v := range local {
-				d.Step(v, curRound)
-			}
-			sp.EndN(0, int64(len(local)))
-			if w.killed(obs.PhaseEncode, curRound) {
-				return dist.Metrics{}, ErrKilled
-			}
-			// Tap the shard's sends: price this worker's share of the
-			// protocol Metrics (every send, intra-shard included) and
-			// frame the cross-shard subset.
-			en := w.Trace.Begin(obs.PhaseEncode, curRound, h.Shard)
-			var encBytes, encMsgs int64
-			for _, v := range local {
-				d.Sends(v, func(to graph.NodeID, m dist.Message) {
-					mMsgs++
-					mWords += int64(m.Words())
-					mWire += int64(dist.WireSize(lam, m))
-					if q := assign[to]; q != h.Shard {
-						fb := &frames[q]
-						fb.buf = shard.AppendMessage(fb.buf, lam, to, m)
-						fb.count++
-						encMsgs++
-					}
-				})
-			}
-			nf := 0
-			for q := range frames {
-				fb := &frames[q]
-				if fb.count == 0 {
-					continue
-				}
-				fh := codec.FrameHeader{Src: h.Shard, Dst: q, Round: curRound, Count: fb.count}
-				hdrBuf = codec.AppendFrameHeader(hdrBuf[:0], fh)
-				if w.Delay != nil {
-					w.Delay(h.Shard, q, curRound, len(hdrBuf)+len(fb.buf))
-				}
-				if err := w.c.writeRecord(recFrame, hdrBuf, fb.buf); err != nil {
-					return dist.Metrics{}, err
-				}
-				encBytes += int64(len(hdrBuf) + len(fb.buf))
-				fb.buf = fb.buf[:0]
-				fb.count = 0
-				nf++
-			}
-			en.EndN(encBytes, encMsgs)
-			alive := 0
-			for _, v := range local {
-				if !d.Halted(v) {
-					alive++
-				}
-			}
-			done := binary.AppendUvarint(nil, t)
-			done = binary.AppendUvarint(done, uint64(alive))
-			done = binary.AppendUvarint(done, uint64(nf))
-			if err := w.c.writeRecord(recDone, done); err != nil {
+			if err := stepRound(int(t), false); err != nil {
 				return dist.Metrics{}, err
-			}
-			if err := w.c.flush(); err != nil {
-				return dist.Metrics{}, err
-			}
-			if w.killed(obs.PhaseBarrierWait, curRound) {
-				return dist.Metrics{}, ErrKilled
-			}
-			// The round's local hooks have all returned, so the previous
-			// round's decoded Vecs are dead — recycle before the frames of
-			// this round decode into the arena.
-			if arena != nil {
-				arena.Reset()
-			}
-			bw = w.Trace.Begin(obs.PhaseBarrierWait, curRound, h.Shard)
-
-		case recFrame:
-			fh, k, err := codec.DecodeFrameHeader(body)
-			if err != nil {
-				return dist.Metrics{}, err
-			}
-			if fh.Dst != h.Shard || fh.Src == h.Shard || fh.Src < 0 || fh.Src >= h.P || fh.Round != curRound {
-				return dist.Metrics{}, fmt.Errorf("net: stray frame %+v at shard %d round %d", fh, h.Shard, curRound)
-			}
-			if h.Recover {
-				chain = foldFrame(chain, body)
-			}
-			rest := body[k:]
-			cnt := 0
-			for len(rest) > 0 {
-				to, m, used, err := shard.DecodeMessage(rest, lam, arena)
-				if err != nil {
-					return dist.Metrics{}, err
-				}
-				rest = rest[used:]
-				u := m.From
-				if u < 0 || u >= n || assign[u] != fh.Src {
-					return dist.Metrics{}, fmt.Errorf("net: frame %d→%d carries sender %d not owned by shard %d", fh.Src, fh.Dst, u, fh.Src)
-				}
-				if to < 0 || to >= n || assign[to] != h.Shard {
-					return dist.Metrics{}, fmt.Errorf("net: frame %d→%d addresses node %d outside shard %d", fh.Src, fh.Dst, to, h.Shard)
-				}
-				if len(gh.pending[u]) == 0 {
-					senders = append(senders, u)
-				}
-				gh.pending[u] = append(gh.pending[u], replayMsg{to: to, m: m})
-				cnt++
-			}
-			if cnt != fh.Count {
-				return dist.Metrics{}, fmt.Errorf("net: frame %d→%d decoded %d messages, header says %d", fh.Src, fh.Dst, cnt, fh.Count)
-			}
-			framesIn++
-			if replayLeft > 0 {
-				// Catch-up: the coordinator announced exactly this many
-				// frames for the round; the last one triggers the delivery
-				// the original deliver record would have.
-				replayLeft--
-				if replayLeft == 0 {
-					if err := deliverNow(); err != nil {
-						return dist.Metrics{}, err
-					}
-				}
 			}
 
-		case recDeliver:
+		case recRelease:
+			// The barrier release: all P dones are in, receive and deliver.
 			t, k := binary.Uvarint(body)
 			if k <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated deliver record")
+				return dist.Metrics{}, fmt.Errorf("net: truncated release record")
 			}
-			nf, k2 := binary.Uvarint(body[k:])
-			if k2 <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated deliver record")
+			if int(t) != curRound {
+				return dist.Metrics{}, fmt.Errorf("net: release for round %d but worker is at %d", t, curRound)
 			}
-			if int(t) != curRound || int(nf) != framesIn {
-				return dist.Metrics{}, fmt.Errorf("net: deliver(round %d, %d frames) but worker is at round %d with %d frames", t, nf, curRound, framesIn)
+			bw.End()
+			bw = obs.SpanRef{}
+			if err := completeRound(int(t), true); err != nil {
+				return dist.Metrics{}, err
 			}
-			if w.killed(obs.PhaseDeliver, curRound) {
-				return dist.Metrics{}, ErrKilled
+
+		case recStreamResend:
+			// Re-feed a respawned peer: replay the retained records of
+			// rounds [from, to] toward its new incarnation, verbatim.
+			dd := 0
+			var vals [4]uint64 // target, from, to, generation
+			for j := range vals {
+				u, k := binary.Uvarint(body[dd:])
+				if k <= 0 {
+					return dist.Metrics{}, fmt.Errorf("net: truncated resend record")
+				}
+				vals[j] = u
+				dd += k
 			}
-			if err := deliverNow(); err != nil {
+			if err := m.resend(int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3])); err != nil {
 				return dist.Metrics{}, err
 			}
 
 		case recResume:
 			// Re-admission (DESIGN.md §13): restore the driver to the last
 			// retained checkpoint — or to the fresh pre-Init state when no
-			// round was sealed before the crash — then expect Catchup rounds
-			// of recReplay + recFrame records.
+			// round was sealed before the crash — then expect Catchup replay
+			// records.
 			rs, used, err := codec.DecodeResume(body)
 			if err != nil {
 				return dist.Metrics{}, err
@@ -563,13 +650,11 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 				chain = frameChainSeed
 				mMsgs, mWords, mWire = 0, 0, 0
 			}
-			replayLeft = 0
 
-		case recReplay:
-			// One catch-up round: re-run the local hooks (metrics tapped,
-			// frame writes suppressed — the coordinator already relayed the
-			// identical bytes to the peers), then absorb the announced
-			// replayed frames; the last one delivers.
+		case recStreamReplay:
+			// One catch-up round: re-step with sends suppressed (the peers
+			// already received the dead incarnation's identical bytes),
+			// absorb the resent inbound flows, deliver, re-checkpoint.
 			rp, used, err := codec.DecodeReplay(body)
 			if err != nil {
 				return dist.Metrics{}, err
@@ -577,28 +662,14 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if used != len(body) {
 				return dist.Metrics{}, fmt.Errorf("net: replay record carries %d trailing bytes", len(body)-used)
 			}
-			if rp.Round != curRound+1 || rp.Frames < 0 {
+			if rp.Round != curRound+1 || rp.Frames != 0 {
 				return dist.Metrics{}, fmt.Errorf("net: replay(round %d, %d frames) but worker is at round %d", rp.Round, rp.Frames, curRound)
 			}
-			curRound = rp.Round
-			for _, v := range local {
-				d.Step(v, curRound)
+			if err := stepRound(rp.Round, true); err != nil {
+				return dist.Metrics{}, err
 			}
-			for _, v := range local {
-				d.Sends(v, func(to graph.NodeID, m dist.Message) {
-					mMsgs++
-					mWords += int64(m.Words())
-					mWire += int64(dist.WireSize(lam, m))
-				})
-			}
-			if arena != nil {
-				arena.Reset()
-			}
-			replayLeft = rp.Frames
-			if rp.Frames == 0 {
-				if err := deliverNow(); err != nil {
-					return dist.Metrics{}, err
-				}
+			if err := completeRound(rp.Round, false); err != nil {
+				return dist.Metrics{}, err
 			}
 
 		case recFinish:

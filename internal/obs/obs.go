@@ -5,12 +5,12 @@
 // The design splits *what happened* from *when it happened*. A Tracer
 // collects two kinds of typed records:
 //
-//   - Span — one timed occurrence of a phase (step, encode, relay, deliver,
-//     barrier-wait, repair, rebalance, publish, epoch) on one worker in one
-//     round, with wall-clock start/end plus the deterministic quantities the
-//     phase moved (bytes, items);
-//   - Flow — one shard-pair byte flow observation (the P×P matrix that makes
-//     the coordinator funnel of the socket cluster visible).
+//   - Span — one timed occurrence of a phase (step, deliver, barrier-wait,
+//     send, recv, verify, repair, rebalance, publish, epoch) on one worker
+//     in one round, with wall-clock start/end plus the deterministic
+//     quantities the phase moved (bytes, items);
+//   - Flow — one shard-pair byte flow observation (the P×P traffic matrix
+//     of the sharded and socket clusters).
 //
 // Everything except the timestamps is a pure function of the execution, and
 // every engine execution is byte-identical across engines by the dist
@@ -47,18 +47,12 @@ type Phase uint8
 const (
 	// PhaseStep is protocol work: running node hooks (Init/Round).
 	PhaseStep Phase = iota
-	// PhaseEncode is frame building: tapping sends and encoding cross-shard
-	// messages into the wire format.
-	PhaseEncode
-	// PhaseRelay is coordinator forwarding: writing parked frames on to
-	// their destination workers.
-	PhaseRelay
 	// PhaseDeliver is mailbox assembly: moving buffered sends into
 	// next-round inboxes (ghost replay included on net workers).
 	PhaseDeliver
 	// PhaseBarrierWait is time spent blocked on peers: a shard coordinator
 	// waiting for its worker goroutines, a net worker waiting for the
-	// coordinator's deliver record.
+	// coordinator's release record.
 	PhaseBarrierWait
 	// PhaseRepair is incremental oracle work: dynamic.Maintainer frontier
 	// repair inside a session epoch.
@@ -74,28 +68,27 @@ const (
 	// PhaseRecover is crash recovery: re-admitting a dead worker and
 	// restoring it from its last retained checkpoint (DESIGN.md §13).
 	PhaseRecover
-	// PhaseReplay is catch-up replay: re-sending one round of relayed
-	// frames to a recovered worker.
+	// PhaseReplay is catch-up replay: announcing one re-stepped round to a
+	// recovered worker, whose inbound flows its peers resend.
 	PhaseReplay
-	// PhaseSend is direct worker→worker streaming (DESIGN.md §14): chunking
-	// the round's cross-shard sends onto the mesh connections as they are
-	// produced. It replaces PhaseRelay on streamed runs — the relay funnel's
-	// bytes move here, split across the workers.
+	// PhaseSend is direct worker→worker streaming (DESIGN.md §14): tapping
+	// the round's sends and chunking the cross-shard ones onto the mesh
+	// connections as they are produced.
 	PhaseSend
-	// PhaseRecv is the streamed receive barrier: a worker, released by the
+	// PhaseRecv is the receive barrier: a net worker, released by the
 	// coordinator, waiting for the end markers of every inbound mesh flow
 	// before it delivers.
 	PhaseRecv
-	// PhaseVerify is the streamed coordinator's round service: releasing the
+	// PhaseVerify is the net coordinator's round service: releasing the
 	// delivery barrier and checking the sent/received digest matrix. Its
-	// byte count is the verified flow volume — bytes the coordinator NEVER
-	// carried, unlike PhaseRelay's.
+	// byte count is the verified flow volume — bytes the coordinator never
+	// carried.
 	PhaseVerify
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	"step", "encode", "relay", "deliver", "barrier-wait",
+	"step", "deliver", "barrier-wait",
 	"repair", "rebalance", "publish", "epoch", "recover", "replay",
 	"send", "recv", "verify",
 }
@@ -120,8 +113,8 @@ type Span struct {
 	Worker int
 	// Start and End are offsets from the tracer's birth.
 	Start, End time.Duration
-	// Bytes is the wire volume the span moved (frame bytes encoded,
-	// relayed or delivered); 0 when the phase moves no bytes.
+	// Bytes is the wire volume the span moved (frame bytes streamed,
+	// received, verified or delivered); 0 when the phase moves no bytes.
 	Bytes int64
 	// Count is the number of items the span processed — messages,
 	// frames, changed values, notifications; phase-defined.

@@ -126,11 +126,23 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 			}
 		}()
 	}
+	// Epoch 0 streams its rounds over an in-process mesh, exactly like
+	// net.Engine's runs; every epoch-0 incarnation, respawns included,
+	// joins it once, in spawn order (the Spec.Respawn generation contract).
+	mesh := net.NewLocalMesh(p)
+	spawnRun := func(idx int, wc *net.Conn) {
+		w := net.NewWorker(wc, g, assign)
+		w.Part = part
+		w.Trace = opt.Trace
+		w.IOTimeout = opt.IOTimeout
+		if opt.kill != nil {
+			w.Kill = opt.kill(idx)
+		}
+		mesh.Join(w, idx)
+		spawn(idx, wc, func() error { return serveInProcessWorker(wc, w, g, assign, idx, p, T, part) })
+	}
 	for i := 0; i < p; i++ {
-		idx, wc := i, workers[i]
-		spawn(idx, wc, func() error {
-			return serveInProcessWorker(wc, g, assign, idx, p, T, part, opt.Trace, opt.kill)
-		})
+		spawnRun(i, workers[i])
 	}
 
 	hub := net.NewHub(coord)
@@ -163,11 +175,7 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		spec.Recover = true
 		// An epoch-0 respawn replays the whole worker life: handshake,
 		// checkpoint-restored run, then the session serve loop.
-		spec.Respawn = respawnConn(func(idx int, wc *net.Conn) {
-			spawn(idx, wc, func() error {
-				return serveInProcessWorker(wc, g, assign, idx, p, T, part, opt.Trace, opt.kill)
-			})
-		})
+		spec.Respawn = respawnConn(spawnRun)
 	}
 	met, rep, err := hub.Run(spec)
 	if err != nil {
@@ -202,23 +210,16 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	return s, nil
 }
 
-// serveInProcessWorker is one worker goroutine's whole life: handshake and
-// epoch-0 run (exactly what cmd/cluster's worker does), ship values, build
-// the session state, serve epochs until Bye.
-func serveInProcessWorker(c *net.Conn, g *graph.Graph, assign []int, idx, p, T int, part shard.Partitioner, tr *obs.Tracer, kill func(int) net.KillFunc) error {
+// serveInProcessWorker is one worker goroutine's whole life on c:
+// handshake and epoch-0 run on w (exactly what cmd/cluster's worker does),
+// ship values, build the session state, serve epochs until Bye. The run
+// drops w's mesh before the epochs start.
+func serveInProcessWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, idx, p, T int, part shard.Partitioner) error {
 	h, err := net.ReadHello(c)
 	if err != nil {
 		return err
 	}
-	var kf net.KillFunc
-	if kill != nil {
-		kf = kill(idx)
-	}
-	w := net.NewWorker(c, g, assign)
 	w.Hello = h
-	w.Part = part
-	w.Trace = tr
-	w.Kill = kf
 	res, _ := core.RunDistributed(g, core.Options{Rounds: T}, w)
 	if err := w.SendValues(res.B); err != nil {
 		return err
@@ -227,8 +228,8 @@ func serveInProcessWorker(c *net.Conn, g *graph.Graph, assign []int, idx, p, T i
 	if err != nil {
 		return err
 	}
-	ws.SetTracer(tr)
-	ws.Kill = kf
+	ws.SetTracer(w.Trace)
+	ws.Kill = w.Kill
 	return ws.ServeEpochs()
 }
 

@@ -14,7 +14,7 @@ import (
 // which receives each full chunk body and its message count; PeerStream
 // itself is transport-agnostic and carries the round's logical accounting —
 // Msgs and BodyBytes — which is what keeps the streamed ledger bit-equal to
-// the relay path's (one relay-style frame header plus these bodies).
+// the sharded engine's (one frame header plus these bodies).
 type PeerStream struct {
 	// Lam is the threshold set messages encode under (AppendMessage).
 	Lam quantize.Lambda
@@ -79,10 +79,10 @@ func (ps *PeerStream) flush() error {
 	return err
 }
 
-// LogicalFrameBytes prices one round's flow toward a peer the way the relay
-// path and the in-process sharded engine do: a single codec.FrameHeader for
-// the whole round's messages plus the body bytes, and zero for an empty
-// flow (the relay path sends no frame at all then). The streamed ledger
+// LogicalFrameBytes prices one round's flow toward a peer the way the
+// in-process sharded engine prices its frame: a single codec.FrameHeader
+// for the whole round's messages plus the body bytes, and zero for an empty
+// flow (the sharded engine sends no frame at all then). The streamed ledger
 // stays bit-equal to ShardMetrics because both sides price this quantity,
 // never the chunked wire form.
 func LogicalFrameBytes(src, dst, round, msgs int, bodyBytes int64) int64 {
