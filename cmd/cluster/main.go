@@ -192,6 +192,19 @@ func runWorker(args []string) {
 	w.MeshClose = func() { ln.Close() }
 	w.MeshGen = *meshGen
 
+	if *sess {
+		// Session worker: the run seeds this worker's state, then it keeps
+		// the connection and serves DeltaPush/stamp exchanges until the
+		// coordinator says goodbye — the same life an in-process session
+		// worker leads.
+		ws, err := session.ServeWorker(c, w, g, assign, T, part)
+		if err != nil {
+			fatalTell(c, err)
+		}
+		fmt.Printf("cluster worker: shard %d/%d session closed after epoch %d (chain %#x)\n",
+			h.Shard, h.P, ws.Epoch(), ws.ChainDigest())
+		return
+	}
 	// The worker side of the protocol is just core.RunDistributed with the
 	// Worker as its engine — the same driver stack every other engine runs
 	// under, which is the point: nothing protocol-specific lives here.
@@ -203,27 +216,6 @@ func runWorker(args []string) {
 	}
 	fmt.Printf("cluster worker: shard %d/%d done: %d nodes, local share %d msgs / %d wire bytes, %d rounds\n",
 		h.Shard, h.P, g.N(), met.Messages, met.WireBytes, met.Rounds)
-	if !*sess {
-		return
-	}
-	// Session epochs: the run seeded this worker's state; keep the
-	// connection and serve DeltaPush/stamp exchanges until the coordinator
-	// says goodbye. Sessions require an unchurned Λ = ℝ run to open on.
-	if h.DeltaDigest != 0 {
-		fatalTell(c, fmt.Errorf("sessions open on an unchurned run; churn streams in afterwards"))
-	}
-	if _, ok := lam.(quantize.Reals); !ok {
-		fatalTell(c, fmt.Errorf("sessions require the exact threshold set Λ = ℝ"))
-	}
-	ws, err := session.NewWorkerState(c, g, assign, h.Shard, h.P, T, part, res.B)
-	if err != nil {
-		fatalTell(c, err)
-	}
-	if err := ws.ServeEpochs(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("cluster worker: shard %d/%d session closed after epoch %d (chain %#x)\n",
-		h.Shard, h.P, ws.Epoch(), ws.ChainDigest())
 }
 
 // parseProto resolves the handshake's protocol spec. Only the coreness

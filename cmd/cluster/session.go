@@ -120,7 +120,7 @@ func runServe(args []string) {
 		hub := dnet.NewHub(conns)
 		defer hub.Close()
 		start := time.Now()
-		met, rep, err := hub.Run(dnet.Spec{
+		co, err := session.NewCoordinator(hub, dnet.Spec{
 			P:          p,
 			MaxRounds:  T,
 			GraphHash:  g.Fingerprint(),
@@ -128,23 +128,13 @@ func runServe(args []string) {
 			GraphSpec:  spec,
 			PartName:   part.Name(),
 			ProtoSpec:  fmt.Sprintf("coreness:%d", T),
-			WantValues: true,
 			IOTimeout:  *timeout,
 			Trace:      tracer,
 			MeshSpec:   strings.Join(addrs, ","),
-		})
+		}, g, assign, part)
 		if err != nil {
 			return err
 		}
-		b, err := rep.Assemble(g.N())
-		if err != nil {
-			return err
-		}
-		co, err := session.NewCoordinator(hub, g, assign, part, b)
-		if err != nil {
-			return err
-		}
-		co.SetTracer(tracer)
 		if *debugAddr != "" {
 			// StatView is the lock-free snapshot, safe to read from the HTTP
 			// goroutines while the session goroutine pushes epochs.
@@ -157,7 +147,7 @@ func runServe(args []string) {
 			fmt.Printf("cluster serve: pprof/expvar on http://%s/debug/\n", *debugAddr)
 		}
 		fmt.Printf("cluster serve: epoch 0 sealed in %v (%s over %d workers, T=%d, rounds=%d, chain %#x)\n",
-			time.Since(start).Round(time.Millisecond), spec, p, T, met.Rounds, co.ChainDigest())
+			time.Since(start).Round(time.Millisecond), spec, p, T, co.Metrics().Rounds, co.ChainDigest())
 
 		network, addr, err := splitAddr(*control)
 		if err != nil {

@@ -72,7 +72,7 @@ func FuzzDecodeResume(f *testing.F) {
 }
 
 func FuzzDecodeReplay(f *testing.F) {
-	f.Add(AppendReplay(nil, Replay{Round: 4, Frames: 2}))
+	f.Add(AppendReplay(nil, Replay{Round: 4}))
 	f.Add(AppendReplay(nil, Replay{}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -111,10 +111,6 @@ type Hello struct {
 	// must agree (relay routing depends on it), so the coordinator decides
 	// and the hello pins it.
 	MeshKind byte
-	// Window is the per-peer flow-control window: the number of
-	// unacknowledged chunks a worker may have in flight toward each peer
-	// (0 means the protocol default).
-	Window int
 	// MeshSpec names the workers' listen addresses (comma-joined, indexed
 	// by shard) for multi-process clusters, where mesh links share each
 	// worker's coordinator listener; empty in-process, where the engine
@@ -141,8 +137,10 @@ const (
 // the crash-recovery protocol (DESIGN.md §13); version 4 added the streamed
 // delivery fields and the mesh record types of DESIGN.md §14; version 5
 // made the mesh the only round delivery — Hello.Stream is gone, and the
-// coordinator-relay records 4, 5, 6 and 21 are retired.
-const HandshakeVersion = 5
+// coordinator-relay records 4, 5, 6 and 21 are retired; version 6 dropped
+// Hello.Window and Replay.Frames, which only ever carried the constants 0
+// (the flow-control window is a protocol constant).
+const HandshakeVersion = 6
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {
@@ -162,7 +160,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendBool(dst, h.WantValues)
 	dst = appendBool(dst, h.Recover)
 	dst = append(dst, h.MeshKind)
-	dst = binary.AppendUvarint(dst, uint64(h.Window))
 	return appendString(dst, h.MeshSpec)
 }
 
@@ -186,11 +183,7 @@ func DecodeHello(src []byte) (Hello, int, error) {
 	h.WantValues = d.byte() != 0
 	h.Recover = d.byte() != 0
 	h.MeshKind = d.byte()
-	h.Window = int(d.uvarint())
 	h.MeshSpec = d.string()
-	if d.err == nil && h.Window < 0 {
-		d.err = fmt.Errorf("negative field from oversized uvarint")
-	}
 	if d.err != nil {
 		return Hello{}, 0, fmt.Errorf("codec: bad hello record: %w", d.err)
 	}

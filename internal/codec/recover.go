@@ -103,17 +103,14 @@ func DecodeResume(src []byte) (Resume, int, error) {
 
 // Replay is the coordinator→worker record announcing one catch-up round to
 // a resumed worker. The round's inbound flows arrive over the mesh as peer
-// resends, never on this connection, so Frames is always 0; the field stays
-// for wire compatibility of the record body.
+// resends, never on this connection, so the round is the whole body.
 type Replay struct {
-	Round  int
-	Frames int
+	Round int
 }
 
 // AppendReplay appends the wire encoding of r to dst.
 func AppendReplay(dst []byte, r Replay) []byte {
-	dst = binary.AppendUvarint(dst, uint64(r.Round))
-	return binary.AppendUvarint(dst, uint64(r.Frames))
+	return binary.AppendUvarint(dst, uint64(r.Round))
 }
 
 // DecodeReplay decodes a Replay and returns the bytes consumed.
@@ -121,8 +118,7 @@ func DecodeReplay(src []byte) (Replay, int, error) {
 	var r Replay
 	d := decoder{src: src}
 	r.Round = int(d.uvarint())
-	r.Frames = int(d.uvarint())
-	if d.err == nil && (r.Round < 0 || r.Frames < 0) {
+	if d.err == nil && r.Round < 0 {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
 	if d.err != nil {

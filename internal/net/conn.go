@@ -68,8 +68,8 @@ const (
 	// accepted idempotently by the receiver's Seq gate.
 	recStreamResend = byte(25)
 	// recStreamReplay announces one catch-up round to a resumed worker:
-	// coordinator→worker, codec.Replay with Frames == 0 (the flows arrive
-	// over the mesh as resends). The worker re-steps with sends suppressed,
+	// coordinator→worker, codec.Replay (the flows arrive over the mesh as
+	// resends). The worker re-steps with sends suppressed,
 	// awaits the resent flows, and delivers.
 	recStreamReplay = byte(26)
 	// recMeshHello opens a mesh connection: dialer→acceptor, body is uvarint

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"distkcore/internal/codec"
@@ -44,18 +43,15 @@ type Spec struct {
 	// deadline side of "determinism over availability").
 	IOTimeout time.Duration
 	// Recover arms crash recovery (DESIGN.md §13): workers checkpoint
-	// after every delivery, the coordinator retains the last RetainRounds
+	// after every delivery, the coordinator retains the last retainRounds
 	// checkpoints and digest chains per worker, the workers retain their
 	// sent flows, and a dead worker is respawned via Respawn and restored
 	// instead of failing the run.
 	Recover bool
-	// RetainRounds is K, the retention depth for checkpoints, digest chains
-	// and sent flows; ≤ 0 means the default of 4 (a worker's checkpoint lag
-	// is at most 2 rounds, so 4 leaves slack).
-	RetainRounds int
 	// Respawn produces a fresh connection to a restarted worker for the
-	// given shard: the in-process engine spawns a goroutine on a fresh
-	// pipe, cmd/cluster re-execs the worker binary on the shard's address.
+	// given shard: in-process clusters use Cluster.Respawn (a goroutine on a
+	// fresh pipe), cmd/cluster re-execs the worker binary on the shard's
+	// address.
 	// Recovery requires it; a nil Respawn with Recover set fails the run on
 	// the first death, exactly as if recovery were off. The new
 	// incarnation's mesh generation (Worker.MeshGen) must equal the number
@@ -71,10 +67,6 @@ type Spec struct {
 	// means the default of 16). Recovery forces the full mesh — resends
 	// need a direct path that a relay hop's death cannot sever.
 	MeshThreshold int
-	// Window is the per-peer flow-control window: how many unacknowledged
-	// chunks a sender may have in flight toward one destination (≤ 0 means
-	// the protocol default).
-	Window int
 	// MeshSpec names the workers' listen addresses for multi-process runs
 	// (comma-joined, indexed by shard; see Listener); empty in-process.
 	MeshSpec string
@@ -134,173 +126,6 @@ func (r *Report) Assemble(n int) ([]float64, error) {
 	return out, nil
 }
 
-// inRec is one record (or terminal read error) from one worker, as pushed
-// by the coordinator's per-connection reader goroutines. gen is the
-// connection generation the record came from: records from a dead
-// incarnation that was replaced by recovery are filtered out by take.
-type inRec struct {
-	from int
-	gen  int
-	typ  byte
-	body []byte
-	err  error
-}
-
-// Hub owns the coordinator side of P established worker connections: one
-// reader goroutine per connection pumping records into a shared channel,
-// plus the run protocol (Run) on top. Unlike the one-shot RunCoordinator
-// wrapper, a Hub outlives a run — its readers keep pumping after Run
-// returns, which is what lets a session (internal/session) keep the same
-// workers hot across an epoch stream on one set of connections. Close it
-// exactly once, after the last exchange; the caller still owns and closes
-// the connections themselves.
-type Hub struct {
-	// Timeout, when non-zero, bounds every Next wait: silence longer than
-	// this fails the exchange with a timeout error instead of hanging.
-	Timeout time.Duration
-
-	conns []*Conn
-	// gens[i] is worker i's connection generation, bumped by Replace.
-	// Touched only by the single protocol-driving goroutine; readers get
-	// their generation as a parameter at spawn.
-	gens []int
-	ch   chan inRec
-	done chan struct{}
-	once sync.Once
-}
-
-// NewHub wraps conns (conns[i] is shard i) and starts the per-connection
-// reader goroutines.
-func NewHub(conns []*Conn) *Hub {
-	h := &Hub{
-		conns: conns,
-		gens:  make([]int, len(conns)),
-		ch:    make(chan inRec, 8*len(conns)),
-		done:  make(chan struct{}),
-	}
-	for i, cn := range conns {
-		go h.reader(i, 0, cn)
-	}
-	return h
-}
-
-// Replace swaps worker i's connection for a respawned incarnation and
-// starts a reader for it. Records still in flight from the dead incarnation
-// carry the old generation and are dropped by take's filter — its terminal
-// read error included, so a replaced death never resurfaces. Call only from
-// the protocol-driving goroutine; the caller owns closing the old conn.
-func (h *Hub) Replace(i int, cn *Conn) {
-	h.gens[i]++
-	h.conns[i] = cn
-	go h.reader(i, h.gens[i], cn)
-}
-
-// P returns the worker count.
-func (h *Hub) P() int { return len(h.conns) }
-
-// Conn returns worker i's connection for writes. All writes must come from
-// one goroutine at a time; reads stay with the Hub's readers — never read a
-// hub-owned connection directly.
-func (h *Hub) Conn(i int) *Conn { return h.conns[i] }
-
-// Close releases the reader goroutines: any reader parked on the bounded
-// channel unblocks and exits, and readers blocked in a connection read exit
-// as soon as the caller closes the connections. Idempotent.
-func (h *Hub) Close() { h.once.Do(func() { close(h.done) }) }
-
-// SendError best-effort ships an error record to every worker, so an abort
-// carries its reason instead of a bare broken connection.
-func (h *Hub) SendError(err error) {
-	for _, cn := range h.conns {
-		cn.SendError(err)
-	}
-}
-
-// reader pumps one connection's records into the shared channel, copying
-// each payload out of the Conn's reused buffer. It exits on the first read
-// error (EOF included, which is the normal end once the caller closes the
-// connection after the last exchange) or when the hub is closed and nobody
-// will drain the channel again.
-func (h *Hub) reader(i, gen int, cn *Conn) {
-	for {
-		typ, body, err := cn.AwaitRecord()
-		if err != nil {
-			select {
-			case h.ch <- inRec{from: i, gen: gen, err: err}:
-			case <-h.done:
-			}
-			return
-		}
-		cp := make([]byte, len(body))
-		copy(cp, body)
-		select {
-		case h.ch <- inRec{from: i, gen: gen, typ: typ, body: cp}:
-		case <-h.done:
-			return
-		}
-	}
-}
-
-// take receives one raw record, dropping records from replaced (dead)
-// connection generations and folding a reply timeout into a from: -1 error
-// record. Errors are not yet folded — callers that need the raw record for
-// fault attribution (recovery) go through take; everyone else uses next.
-func (h *Hub) take() inRec {
-	for {
-		var r inRec
-		if h.Timeout > 0 {
-			t := time.NewTimer(h.Timeout)
-			select {
-			case r = <-h.ch:
-				t.Stop()
-			case <-t.C:
-				return inRec{from: -1, err: fmt.Errorf("net: no worker record within %v (dead peer?)", h.Timeout)}
-			}
-		} else {
-			r = <-h.ch
-		}
-		if h.stale(r) {
-			continue
-		}
-		return r
-	}
-}
-
-// stale reports whether r came from a replaced connection generation.
-func (h *Hub) stale(r inRec) bool {
-	return r.from >= 0 && r.gen != h.gens[r.from]
-}
-
-// foldRec folds a raw record's transport error or worker error record into
-// a Go error.
-func foldRec(r inRec) (inRec, error) {
-	if r.err != nil {
-		if r.from < 0 {
-			return r, r.err
-		}
-		return r, fmt.Errorf("net: worker %d: %w", r.from, r.err)
-	}
-	if r.typ == recError {
-		return r, fmt.Errorf("net: worker %d aborted: %s", r.from, r.body)
-	}
-	return r, nil
-}
-
-// next receives one record, folding transport errors, worker error records
-// and reply timeouts into Go errors.
-func (h *Hub) next() (inRec, error) {
-	return foldRec(h.take())
-}
-
-// Next is the exported record receive for protocol layers driving the hub
-// beyond the built-in run (internal/session's epoch exchanges): one record
-// from whichever worker spoke, with transport errors, worker error records
-// and timeouts folded into err. The body is a private copy.
-func (h *Hub) Next() (from int, typ byte, body []byte, err error) {
-	r, err := h.next()
-	return r.from, r.typ, r.body, err
-}
-
 // RunCoordinator drives one full run over P established worker
 // connections: handshake, per-round barrier (step → done → release → ack),
 // finish, metric aggregation. conns[i] becomes shard i. It returns the
@@ -353,6 +178,10 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 		for i := range c.chains {
 			c.chains[i] = frameChainSeed
 		}
+		// Checkpoints are absorbed into the retention rings as they arrive,
+		// before any exchange (or a recovery's stash) sees them.
+		h.absorb = c.absorb
+		defer func() { h.absorb = nil }()
 	}
 	met, err := c.run()
 	if err != nil {
@@ -370,20 +199,10 @@ type histRound struct {
 	chainAfter uint64
 }
 
-// maxRecoveries caps recovery attempts per worker per run: a worker that
-// keeps dying (a crash loop, a poisoned input) eventually fails the run
-// instead of respawning forever.
-const maxRecoveries = 8
-
 type coordinator struct {
 	hub  *Hub
 	spec Spec
 	rep  *Report
-
-	// stash defers records from other workers that arrive while a recovery
-	// exchange is awaiting a specific worker's reply; next drains it FIFO
-	// before touching the hub again, so per-worker order holds.
-	stash []inRec
 
 	// Recovery retention (allocated when spec.Recover; nil otherwise).
 	hellos   [][]byte             // original hello record body per worker
@@ -391,84 +210,23 @@ type coordinator struct {
 	ckpts    [][]codec.Checkpoint // last K checkpoints per worker, ascending rounds
 	hist     [][]histRound        // last K expected frame chains per worker
 	chains   []uint64             // cumulative frame chain per worker
-	attempts []int                // recoveries performed per worker
 }
 
 // recoverable reports whether worker death is survivable in this run.
 func (c *coordinator) recoverable() bool { return c.spec.Recover && c.spec.Respawn != nil }
 
-// retainK is the retention depth K.
-func (c *coordinator) retainK() int {
-	if c.spec.RetainRounds > 0 {
-		return c.spec.RetainRounds
-	}
-	return 4
-}
+// retainRounds is K, the retention depth of checkpoints, digest chains and
+// sent flows: a worker's checkpoint lag is at most 2 rounds, so 4 leaves
+// slack.
+const retainRounds = 4
 
-// next receives one record for a protocol exchange: stashed records drain
-// first, checkpoint records are absorbed into the retention rings on the
-// way, and errors fold like Hub.next.
-func (c *coordinator) next() (inRec, error) {
-	for {
-		var r inRec
-		if len(c.stash) > 0 {
-			r = c.stash[0]
-			c.stash = c.stash[1:]
-			if c.hub.stale(r) {
-				continue
-			}
-		} else {
-			r = c.hub.take()
-		}
-		if c.spec.Recover && r.err == nil && r.typ == recCheckpoint {
-			if err := c.absorbCheckpoint(r); err != nil {
-				return r, err
-			}
-			continue
-		}
-		return foldRec(r)
+// absorb is the hub's absorb hook under recovery: it takes checkpoint
+// records into the retention rings and leaves everything else alone.
+func (c *coordinator) absorb(r inRec) (bool, error) {
+	if r.typ != recCheckpoint {
+		return false, nil
 	}
-}
-
-// awaitFrom receives the next record from worker w specifically, stashing
-// records other workers interleave (their dones, acks and even deaths are
-// deferred, not lost) and absorbing checkpoints. Recovery exchanges use it
-// to read the respawned worker's welcome.
-func (c *coordinator) awaitFrom(w int) (inRec, error) {
-	for {
-		r := c.hub.take()
-		if r.err == nil && r.typ == recCheckpoint && c.spec.Recover {
-			if err := c.absorbCheckpoint(r); err != nil {
-				return r, err
-			}
-			continue
-		}
-		if r.from != w && r.from >= 0 {
-			c.stash = append(c.stash, r)
-			continue
-		}
-		return foldRec(r)
-	}
-}
-
-// blame names the worker a failed receive implicates: the record's sender,
-// or — for a reply timeout, which names nobody — the one worker that still
-// owes a record, when exactly one does. -1 means the failure cannot be
-// attributed.
-func blame(r inRec, p int, owes func(i int) bool) int {
-	if r.from >= 0 {
-		return r.from
-	}
-	cand, lagging := -1, 0
-	for i := 0; i < p; i++ {
-		if owes(i) {
-			cand, lagging = i, lagging+1
-		}
-	}
-	if lagging == 1 {
-		return cand
-	}
-	return -1
+	return true, c.absorbCheckpoint(r)
 }
 
 // absorbCheckpoint stores one worker checkpoint in the retention ring,
@@ -499,8 +257,8 @@ func (c *coordinator) absorbCheckpoint(r inRec) error {
 		ring = ring[:len(ring)-1]
 	}
 	ring = append(ring, ck)
-	if k := c.retainK(); len(ring) > k {
-		ring = ring[len(ring)-k:]
+	if len(ring) > retainRounds {
+		ring = ring[len(ring)-retainRounds:]
 	}
 	c.ckpts[w] = ring
 	return nil
@@ -552,7 +310,6 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			WantValues:  c.spec.WantValues,
 			Recover:     c.spec.Recover,
 			MeshKind:    meshKindFor(p, c.spec.MeshThreshold, c.spec.Recover),
-			Window:      c.spec.Window,
 			MeshSpec:    c.spec.MeshSpec,
 		}
 		helloRec := codec.AppendHello(nil, h)
@@ -576,7 +333,7 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	}
 	welcomed := make([]bool, p)
 	for i := 0; i < p; i++ {
-		r, err := c.next()
+		r, err := c.hub.recv(-1)
 		if err != nil {
 			return dist.Metrics{}, err
 		}
@@ -653,13 +410,13 @@ func (c *coordinator) run() (dist.Metrics, error) {
 		return gotMetrics[i] && (!c.spec.WantValues || gotValues[i])
 	}
 	for got := 0; got < want; {
-		r, err := c.next()
+		r, err := c.hub.recv(-1)
 		if err != nil {
 			if r.err != nil && r.from >= 0 && complete(r.from) {
 				continue
 			}
 			if c.recoverable() {
-				if w := blame(r, p, func(i int) bool { return !complete(i) }); w >= 0 && !complete(w) {
+				if w := c.hub.Blame(r.from, func(i int) bool { return !complete(i) }); w >= 0 && !complete(w) {
 					if err := c.restart(w, rounds, rounds); err != nil {
 						return dist.Metrics{}, err
 					}
@@ -779,7 +536,7 @@ func (c *coordinator) round(t int) (alive int, err error) {
 	p := c.hub.P()
 	step := binary.AppendUvarint(nil, uint64(t))
 	sendStep := func(i int) error {
-		cn := c.hub.conns[i] // re-read: Replace may have swapped it
+		cn := c.hub.conns[i] // re-read: a respawn may have swapped it
 		if err := cn.writeRecord(recStep, step); err != nil {
 			return err
 		}
@@ -806,12 +563,12 @@ func (c *coordinator) round(t int) (alive int, err error) {
 	sent := make([][]codec.PeerDigest, p)
 	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
 	for dones := 0; dones < p; {
-		r, err := c.next()
+		r, err := c.hub.recv(-1)
 		if err != nil {
 			if !c.recoverable() {
 				return 0, err
 			}
-			w := blame(r, p, func(i int) bool { return !done[i] })
+			w := c.hub.Blame(r.from, func(i int) bool { return !done[i] })
 			if w < 0 {
 				return 0, err
 			}
@@ -914,12 +671,12 @@ func (c *coordinator) round(t int) (alive int, err error) {
 		if pending == 0 {
 			break
 		}
-		r, err := c.next()
+		r, err := c.hub.recv(-1)
 		if err != nil {
 			if !c.recoverable() {
 				return 0, err
 			}
-			w := blame(r, p, owesAck)
+			w := c.hub.Blame(r.from, owesAck)
 			if w < 0 {
 				return 0, err
 			}
@@ -995,8 +752,8 @@ func (c *coordinator) sealChains(t int, sent [][]codec.PeerDigest) {
 		}
 		c.chains[w] = foldU64(c.chains[w], dig)
 		hr := append(c.hist[w], histRound{round: t, chainAfter: c.chains[w]})
-		if k := c.retainK(); len(hr) > k {
-			hr = hr[len(hr)-k:]
+		if len(hr) > retainRounds {
+			hr = hr[len(hr)-retainRounds:]
 		}
 		c.hist[w] = hr
 	}
@@ -1018,26 +775,12 @@ func (c *coordinator) restart(w, upTo, resendThrough int) error {
 	if !c.recoverable() {
 		return fmt.Errorf("net: worker %d died and recovery is not armed", w)
 	}
-	if c.attempts == nil {
-		c.attempts = make([]int, c.hub.P())
-	}
-	if c.attempts[w]++; c.attempts[w] > maxRecoveries {
-		return fmt.Errorf("net: worker %d died %d times; giving up", w, c.attempts[w])
-	}
 	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
 	defer sp.End()
-	cn, err := c.spec.Respawn(w)
+	cn, err := c.hub.Respawn(w, c.spec.Respawn)
 	if err != nil {
-		return fmt.Errorf("net: respawning worker %d: %w", w, err)
+		return err
 	}
-	if c.spec.IOTimeout > 0 {
-		cn.SetIOTimeout(c.spec.IOTimeout)
-	}
-	// Close the dead incarnation's conn (releasing its fd and unparking its
-	// reader, whose final error record is generation-filtered out), then
-	// swap in the replacement.
-	c.hub.conns[w].Close()
-	c.hub.Replace(w, cn)
 	if err := cn.writeRecord(recHello, c.hellos[w]); err != nil {
 		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
 	}
@@ -1049,7 +792,7 @@ func (c *coordinator) restart(w, upTo, resendThrough int) error {
 	if err := cn.flush(); err != nil {
 		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
 	}
-	r, err := c.awaitFrom(w)
+	r, err := c.hub.recv(w)
 	if err != nil {
 		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
 	}
@@ -1072,13 +815,13 @@ func (c *coordinator) restart(w, upTo, resendThrough int) error {
 		// The welcome is in, so w's mesh is formed from its side and every
 		// peer's accept of the new links is in flight. The resend record
 		// carries w's new mesh generation — which by the Respawn contract is
-		// the number of respawns performed for the shard, i.e. attempts —
+		// the number of respawns performed for the shard, the hub's count —
 		// so each peer waits for that incarnation's link before writing a
 		// byte (records to the dead link would drop silently).
 		req := binary.AppendUvarint(nil, uint64(w))
 		req = binary.AppendUvarint(req, uint64(ck+1))
 		req = binary.AppendUvarint(req, uint64(resendThrough))
-		req = binary.AppendUvarint(req, uint64(c.attempts[w]))
+		req = binary.AppendUvarint(req, uint64(c.hub.attempts[w]))
 		for q := range c.hub.conns {
 			if q == w {
 				continue

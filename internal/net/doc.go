@@ -34,14 +34,23 @@
 //     own loop, which mirrors SeqEngine's round loop condition for
 //     condition.
 //
-// Engine is the in-process form (workers as goroutines over net.Pipe, or
-// over real localhost sockets with Transport "unix"/"tcp", meshed through a
-// LocalMesh) and accepts any dist.Factory. RunCoordinator and Worker are
-// the two protocol endpoints cmd/cluster wires to separate processes, with
-// Listener sharing each worker's one listen socket between its coordinator
+// Engine is the in-process form and accepts any dist.Factory. Its workers
+// come from Launch, the one in-process cluster launcher (internal/session's
+// Open uses it too): goroutines over net.Pipe, or over real localhost
+// sockets with Transport "unix"/"tcp", meshed through a LocalMesh, with one
+// spawn policy and one respawn path. RunCoordinator and Worker are the two
+// protocol endpoints cmd/cluster wires to separate processes, with Listener
+// sharing each worker's one listen socket between its coordinator
 // connection and its mesh links; there the factory cannot cross the
 // process boundary, so the handshake carries generator/partitioner/
 // protocol spec strings each worker resolves locally.
+//
+// Hub is the coordinator side of P connections and carries the one
+// recovering receive both coordinators — this package's run and
+// internal/session's epochs — build on: Next and NextFrom (with a stash
+// that defers other workers' records and drops a replaced incarnation's),
+// Blame (the sender, or the sole laggard of a timeout) and Respawn (the
+// per-worker attempt cap, then the swap to a fresh incarnation).
 //
 // What the cluster adds on top of dist.Metrics is the same placement
 // ledger the sharded engine reports: a shard.ShardMetrics pricing every

@@ -53,9 +53,6 @@ type Engine struct {
 	// failing the run. Set it before Run, together with an IOTimeout so a
 	// silent death surfaces as a timeout.
 	Recover bool
-	// RetainRounds overrides the retention depth K of checkpoints, digest
-	// chains and sent flows (≤ 0 means the protocol default of 4).
-	RetainRounds int
 	// Stream is ignored: round traffic always streams worker↔worker over
 	// the mesh (DESIGN.md §14).
 	//
@@ -66,9 +63,6 @@ type Engine struct {
 	// hypercube instead of the full mesh (≤ 0 means the default of 16;
 	// power-of-two P only, and recovery forces the full mesh).
 	MeshThreshold int
-	// Window overrides the per-peer flow-control window (≤ 0 means the
-	// protocol default).
-	Window int
 	// ChunkBytes overrides the streaming chunk flush threshold (≤ 0 means
 	// shard.DefaultChunkBytes). Tests shrink it to force multi-chunk flows.
 	ChunkBytes int
@@ -228,16 +222,9 @@ func (e *Engine) ClusterMetrics() shard.ShardMetrics {
 // coordinator's diagnosis.
 func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
 	p := e.p
-	assign := e.part.Partition(g, p)
-	if len(assign) != g.N() {
-		panic(fmt.Sprintf("net: partitioner %s returned %d assignments for %d nodes",
-			e.part.Name(), len(assign), g.N()))
-	}
-	for v, s := range assign {
-		if s < 0 || s >= p {
-			panic(fmt.Sprintf("net: partitioner %s assigned node %d to shard %d (p=%d)",
-				e.part.Name(), v, s, p))
-		}
+	assign, err := shard.Place(e.part, g, p)
+	if err != nil {
+		panic("net: " + err.Error())
 	}
 	// Under churn the coordinator side computes the post-churn inputs to pin
 	// in the handshake; the workers are handed the PRE-churn graph and base
@@ -245,10 +232,12 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	// the full protocol runs even in-process.
 	runG, runAssign := g, assign
 	spec := Spec{
-		P:         p,
-		MaxRounds: maxRounds,
-		Lam:       e.lam,
-		Trace:     e.trace,
+		P:             p,
+		MaxRounds:     maxRounds,
+		Lam:           e.lam,
+		IOTimeout:     e.IOTimeout,
+		MeshThreshold: e.MeshThreshold,
+		Trace:         e.trace,
 	}
 	if len(e.churn.delta.Ops) > 0 {
 		spec.Delta, spec.MoveBudget = e.churn.delta, e.churn.budget
@@ -261,80 +250,24 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	}
 	spec.GraphHash = runG.Fingerprint()
 	spec.PartDigest = shard.PartitionDigest(runAssign)
-	spec.IOTimeout = e.IOTimeout
-	coord, workers, cleanup, err := DialCluster(e.Transport, p)
+	cl, err := Launch(e.Transport, p, e.IOTimeout, func(s int, c *Conn) (*Worker, func() error) {
+		w := &Worker{c: c, g: g, assign: assign, lam: e.lam, Delay: e.Delay, Part: e.part, Trace: e.trace,
+			ChunkBytes: e.ChunkBytes, IOTimeout: e.IOTimeout}
+		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s) }
+		return w, func() error {
+			_, err := w.run(g, factory, maxRounds)
+			return err
+		}
+	})
 	if err != nil {
 		panic("net: " + err.Error())
 	}
-	defer cleanup()
-	if e.IOTimeout > 0 {
-		for i := 0; i < p; i++ {
-			coord[i].SetIOTimeout(e.IOTimeout)
-			workers[i].SetIOTimeout(e.IOTimeout)
-		}
-	}
-
-	spec.MeshThreshold = e.MeshThreshold
-	spec.Window = e.Window
-	mesh := NewLocalMesh(p)
-	var wg sync.WaitGroup
-	// spawn starts shard s's worker goroutine over c — the initial
-	// incarnation and every recovery respawn alike. Joining the mesh before
-	// the goroutine starts numbers the incarnations in respawn order, which
-	// is the mesh-generation contract of Spec.Respawn.
-	spawn := func(s int, c *Conn) {
-		w := &Worker{c: c, g: g, assign: assign, lam: e.lam, Delay: e.Delay, Part: e.part, Trace: e.trace,
-			ChunkBytes: e.ChunkBytes, RetainRounds: e.RetainRounds, IOTimeout: e.IOTimeout}
-		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s) }
-		mesh.Join(w, s)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.Close()
-			// A panicking protocol hook (a factory bug) must not hang the
-			// coordinator: convert it into an error record so the run
-			// aborts with the reason. A fault-injection kill dies silently —
-			// the closed connection is the whole point.
-			defer func() {
-				if r := recover(); r != nil {
-					if err, ok := r.(error); ok && errors.Is(err, ErrKilled) {
-						return
-					}
-					c.SendError(fmt.Errorf("worker panic: %v", r))
-				}
-			}()
-			if _, err := w.run(g, factory, maxRounds); err != nil && !errors.Is(err, ErrKilled) {
-				c.SendError(err)
-			}
-		}()
-	}
-	for s := 0; s < p; s++ {
-		spawn(s, workers[s])
-	}
 	if e.Recover {
 		spec.Recover = true
-		spec.RetainRounds = e.RetainRounds
-		// Respawned workers always run over a fresh net.Pipe pair, whatever
-		// the original transport: the protocol bytes are transport-agnostic
-		// and the pipe needs no listener plumbing.
-		spec.Respawn = func(s int) (*Conn, error) {
-			a, b := net.Pipe()
-			cc, wc := NewConn(a), NewConn(b)
-			if e.IOTimeout > 0 {
-				cc.SetIOTimeout(e.IOTimeout)
-				wc.SetIOTimeout(e.IOTimeout)
-			}
-			spawn(s, wc)
-			return cc, nil
-		}
+		spec.Respawn = cl.Respawn
 	}
-	met, rep, err := RunCoordinator(coord, spec)
-	for i := range coord {
-		// The hub shares this slice, so after a recovery coord[i] is the
-		// respawned worker's conn; dead incarnations were closed at restart.
-		coord[i].Close()
-	}
-	wg.Wait()
+	met, rep, err := RunCoordinator(cl.Conns(), spec)
+	cl.Close()
 	if err != nil {
 		panic("net: " + err.Error())
 	}
@@ -345,12 +278,110 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	return met
 }
 
+// Cluster is the worker side of an in-process cluster: P worker goroutines
+// wired to coordinator connections over one of the transports and to each
+// other over a LocalMesh. Engine.Run and internal/session's Open both start
+// their workers through Launch, so the spawn policy and the respawn path
+// exist once.
+type Cluster struct {
+	conns   []*Conn
+	spawn   func(s int, c *Conn) (*Worker, func() error)
+	timeout time.Duration
+	mesh    *LocalMesh
+	wg      sync.WaitGroup
+	cleanup func()
+}
+
+// Launch dials p coordinator↔worker connection pairs over transport (IO
+// deadlines armed on both ends when timeout > 0) and starts one worker per
+// shard. spawn(s, c) runs synchronously for every incarnation of shard s —
+// the initial one here, each respawn in Respawn — and returns the
+// incarnation's Worker and the body its goroutine runs. The Worker joins
+// the cluster's mesh before the goroutine starts, which numbers
+// incarnations in spawn order (the generation contract of Spec.Respawn);
+// a nil Worker joins nothing. A body that fails or panics — Worker.Run
+// turns protocol errors into panics, and a factory bug must not hang the
+// coordinator — ships its reason as an error record; a fault-injection kill
+// (ErrKilled) dies silently, the closed connection being the whole point.
+func Launch(transport string, p int, timeout time.Duration, spawn func(s int, c *Conn) (*Worker, func() error)) (*Cluster, error) {
+	coord, workers, cleanup, err := dialCluster(transport, p)
+	if err != nil {
+		return nil, err
+	}
+	cl := &Cluster{conns: coord, spawn: spawn, timeout: timeout, mesh: NewLocalMesh(p), cleanup: cleanup}
+	for s := 0; s < p; s++ {
+		if timeout > 0 {
+			coord[s].SetIOTimeout(timeout)
+			workers[s].SetIOTimeout(timeout)
+		}
+		cl.start(s, workers[s])
+	}
+	return cl, nil
+}
+
+// start runs one incarnation of shard s over its worker-side connection c.
+func (cl *Cluster) start(s int, c *Conn) {
+	w, body := cl.spawn(s, c)
+	if w != nil {
+		cl.mesh.Join(w, s)
+	}
+	cl.wg.Add(1)
+	go func() {
+		defer cl.wg.Done()
+		defer c.Close()
+		defer func() {
+			if r := recover(); r != nil {
+				if err, ok := r.(error); ok && errors.Is(err, ErrKilled) {
+					return
+				}
+				c.SendError(fmt.Errorf("worker panic: %v", r))
+			}
+		}()
+		if err := body(); err != nil && !errors.Is(err, ErrKilled) {
+			c.SendError(err)
+		}
+	}()
+}
+
+// Conns returns the coordinator ends, shard s at index s. A Hub built on
+// this slice swaps respawned incarnations into it, so Close reaches them.
+func (cl *Cluster) Conns() []*Conn { return cl.conns }
+
+// Respawn implements Spec.Respawn for the cluster: it starts a new
+// incarnation of shard s over a fresh net.Pipe pair — whatever the original
+// transport, since the protocol bytes are transport-agnostic and a pipe
+// needs no listener — and returns the coordinator end.
+func (cl *Cluster) Respawn(s int) (*Conn, error) {
+	a, b := net.Pipe()
+	cc, wc := NewConn(a), NewConn(b)
+	if cl.timeout > 0 {
+		cc.SetIOTimeout(cl.timeout)
+		wc.SetIOTimeout(cl.timeout)
+	}
+	cl.start(s, wc)
+	return cc, nil
+}
+
+// Wait blocks until every worker goroutine has exited.
+func (cl *Cluster) Wait() { cl.wg.Wait() }
+
+// Close closes the coordinator ends (dead incarnations were closed at their
+// respawn), waits for the worker goroutines and removes any socket
+// directory the transport made. Call it once, after the last exchange.
+func (cl *Cluster) Close() {
+	for _, c := range cl.conns {
+		c.Close()
+	}
+	cl.wg.Wait()
+	cl.cleanup()
+}
+
 // LocalMesh is the in-process stand-in for the workers' listen sockets:
 // each worker incarnation registers an inbox of inbound mesh connections,
 // and a dial manufactures a net.Pipe pair, parking one end in the
 // destination's current inbox. A respawn re-registers, closing the dead
-// incarnation's inbox so its accept loop exits. Engine.Run and
-// internal/session's epoch 0 wire their workers through it.
+// incarnation's inbox so its accept loop exits. Launch wires every
+// in-process cluster's workers through it.
 type LocalMesh struct {
 	mu      sync.Mutex
 	inboxes []*meshInbox
@@ -436,11 +467,10 @@ func (b *LocalMesh) dial(dst int) (net.Conn, error) {
 	}
 }
 
-// DialCluster establishes p coordinator↔worker connection pairs over the
+// dialCluster establishes p coordinator↔worker connection pairs over the
 // given transport (coord[i] ↔ workers[i]). cleanup tears down any listener
-// and socket directory. Exported for internal/session, whose in-process
-// Open wires up the same topology and then keeps it alive across epochs.
-func DialCluster(transport string, p int) (coord []*Conn, workers []*Conn, cleanup func(), err error) {
+// and socket directory.
+func dialCluster(transport string, p int) (coord []*Conn, workers []*Conn, cleanup func(), err error) {
 	coord = make([]*Conn, p)
 	workers = make([]*Conn, p)
 	cleanup = func() {}

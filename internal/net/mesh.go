@@ -31,10 +31,9 @@ import (
 // connection gets 64 KiB ones.
 const meshBufSize = 8 << 10
 
-// defaultWindow is the per-peer flow-control window when Hello.Window is 0:
-// how many unacknowledged chunks a sender may have in flight toward one
-// destination.
-const defaultWindow = 8
+// flowWindow is the per-peer flow-control window: how many unacknowledged
+// chunks a sender may have in flight toward one destination.
+const flowWindow = 8
 
 // meshNeighbors returns the sorted neighbor set of self in the topology.
 func meshNeighbors(kind byte, self, p int) []int {
@@ -86,10 +85,8 @@ type meshConfig struct {
 	Self    int
 	P       int
 	Kind    byte // codec.MeshFull | codec.MeshCube
-	Window  int  // 0 = defaultWindow
 	Gen     int  // this incarnation's generation (0 initial, +1 per respawn)
-	Recover bool
-	RetainK int // retained send rounds per destination when Recover
+	Recover bool // retain sent rounds (retainRounds per destination) for resends
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
 	Dial func(dst int) (net.Conn, error)
@@ -134,8 +131,7 @@ type mesh struct {
 	cond *sync.Cond
 
 	links  []*meshLink // by neighbor id; nil until attached
-	window int
-	round  int // current receive/send round; -1 before the first
+	round  int         // current receive/send round; -1 before the first
 	err    error
 	closed bool
 
@@ -155,7 +151,7 @@ type mesh struct {
 	// future[src] buffers inbound flow records ahead of the current round.
 	future [][]futRec
 
-	// retained[dst] holds the last RetainK rounds of records sent toward
+	// retained[dst] holds the last retainRounds rounds of records sent toward
 	// dst, verbatim, for recovery resends. Nil when Recover is off.
 	retained [][]retRound
 
@@ -163,13 +159,9 @@ type mesh struct {
 }
 
 func newMesh(cfg meshConfig) *mesh {
-	if cfg.Window <= 0 {
-		cfg.Window = defaultWindow
-	}
 	m := &mesh{
 		cfg:     cfg,
 		links:   make([]*meshLink, cfg.P),
-		window:  cfg.Window,
 		round:   -1,
 		tokens:  make([]int, cfg.P),
 		sendSeq: make([]int, cfg.P),
@@ -184,7 +176,7 @@ func newMesh(cfg meshConfig) *mesh {
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for j := range m.tokens {
-		m.tokens[j] = m.window
+		m.tokens[j] = flowWindow
 	}
 	if cfg.Recover {
 		m.retained = make([][]retRound, cfg.P)
@@ -335,7 +327,7 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	}
 	l := &meshLink{c: c, gen: gen}
 	m.links[j] = l
-	m.tokens[j] = m.window
+	m.tokens[j] = flowWindow
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	go m.readLoop(j, l)
@@ -474,7 +466,7 @@ func (m *mesh) linkDownLocked(l *meshLink, err error) {
 	}
 	for j, lk := range m.links {
 		if lk == l {
-			m.tokens[j] = m.window
+			m.tokens[j] = flowWindow
 		}
 	}
 	m.cond.Broadcast()
@@ -529,8 +521,8 @@ func (m *mesh) handleRecord(typ byte, body []byte) error {
 		}
 		if wd.Kind == codec.WindowCredit {
 			m.mu.Lock()
-			if m.tokens[wd.Src] += wd.Credits; m.tokens[wd.Src] > m.window {
-				m.tokens[wd.Src] = m.window
+			if m.tokens[wd.Src] += wd.Credits; m.tokens[wd.Src] > flowWindow {
+				m.tokens[wd.Src] = flowWindow
 			}
 			m.cond.Broadcast()
 			m.mu.Unlock()
@@ -676,8 +668,8 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 				continue
 			}
 			r := append(m.retained[j], retRound{round: t})
-			if len(r) > m.cfg.RetainK {
-				r = r[len(r)-m.cfg.RetainK:]
+			if len(r) > retainRounds {
+				r = r[len(r)-retainRounds:]
 			}
 			m.retained[j] = r
 		}
@@ -821,7 +813,7 @@ func (m *mesh) resend(target, from, to, gen int) error {
 		}
 		m.cond.Wait()
 	}
-	m.tokens[target] = m.window
+	m.tokens[target] = flowWindow
 	m.cond.Broadcast()
 	for t := from; t <= to; t++ {
 		if t > m.round {
@@ -836,7 +828,7 @@ func (m *mesh) resend(target, from, to, gen int) error {
 		}
 		if e == nil {
 			return fmt.Errorf("net: worker %d cannot resend round %d to %d: retention (K=%d) trimmed it",
-				m.cfg.Self, t, target, m.cfg.RetainK)
+				m.cfg.Self, t, target, retainRounds)
 		}
 		for _, r := range e.recs {
 			if r.typ == recPeerFrame {

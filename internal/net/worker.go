@@ -98,9 +98,6 @@ type Worker struct {
 	// shard.DefaultChunkBytes). Every incarnation of every worker must use
 	// the same value: recovery re-steps re-produce the identical chunking.
 	ChunkBytes int
-	// RetainRounds is the retention depth K for recovery resends (≤ 0
-	// means the protocol default of 4, matching the coordinator's).
-	RetainRounds int
 	// IOTimeout bounds mesh formation, flush barriers and — without
 	// recovery — the receive barrier (0 means wait forever).
 	IOTimeout time.Duration
@@ -317,10 +314,6 @@ func (w *Worker) serveRounds(h *codec.Hello, lam quantize.Lambda, d *dist.Driver
 	if h.MeshKind == codec.MeshCube && p&(p-1) != 0 {
 		return dist.Metrics{}, fmt.Errorf("net: hypercube mesh needs a power-of-two P, got %d", p)
 	}
-	retainK := w.RetainRounds
-	if retainK <= 0 {
-		retainK = 4
-	}
 
 	// Decoded Vec payloads live exactly one round, but chunks of round t can
 	// arrive while round t-1's vectors are still feeding local hooks — so the
@@ -372,8 +365,8 @@ func (w *Worker) serveRounds(h *codec.Hello, lam quantize.Lambda, d *dist.Driver
 	}
 
 	m := newMesh(meshConfig{
-		Self: h.Shard, P: p, Kind: h.MeshKind, Window: h.Window, Gen: w.MeshGen,
-		Recover: h.Recover, RetainK: retainK, Timeout: w.IOTimeout,
+		Self: h.Shard, P: p, Kind: h.MeshKind, Gen: w.MeshGen,
+		Recover: h.Recover, Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
 		Deliver: deliver,
 	})
@@ -662,8 +655,8 @@ func (w *Worker) serveRounds(h *codec.Hello, lam quantize.Lambda, d *dist.Driver
 			if used != len(body) {
 				return dist.Metrics{}, fmt.Errorf("net: replay record carries %d trailing bytes", len(body)-used)
 			}
-			if rp.Round != curRound+1 || rp.Frames != 0 {
-				return dist.Metrics{}, fmt.Errorf("net: replay(round %d, %d frames) but worker is at round %d", rp.Round, rp.Frames, curRound)
+			if rp.Round != curRound+1 {
+				return dist.Metrics{}, fmt.Errorf("net: replay of round %d but worker is at round %d", rp.Round, curRound)
 			}
 			if err := stepRound(rp.Round, true); err != nil {
 				return dist.Metrics{}, err

@@ -44,8 +44,9 @@ func (r *EpochReport) Stamp() codec.Stamp {
 // Coordinator is the coordinator side of a live session: the authoritative
 // graph, assignment and value vector, the digest chain, and the
 // subscription registry. It drives epochs over a net.Hub whose workers have
-// already completed their epoch-0 run and entered ServeEpochs. Not safe for
-// concurrent use — one goroutine owns the session.
+// already completed their epoch-0 run and entered the epoch loop
+// (ServeWorker). Not safe for concurrent use — one goroutine owns the
+// session.
 type Coordinator struct {
 	hub    *net.Hub
 	g      *graph.Graph
@@ -62,17 +63,17 @@ type Coordinator struct {
 	// trace, when set, records one epoch span per Push plus the publish
 	// span (repair/rebalance spans come from the worker side).
 	trace *obs.Tracer
-	// Crash recovery (DESIGN.md §13), armed by EnableRecovery: respawn
-	// produces a fresh connection to a restarted worker, lastStamp is the
-	// re-admission stamp (the last sealed epoch's), attempts caps per-worker
-	// recoveries and recovered counts the successful ones. stash defers
-	// records other workers interleave while a recovery exchange awaits a
-	// specific worker's reply.
+	// met and rep are the epoch-0 run's outcome.
+	met dist.Metrics
+	rep *net.Report
+	// Crash recovery (DESIGN.md §13), armed by NewCoordinator: respawn
+	// produces a fresh connection to a restarted worker (through
+	// net.Hub.Respawn, which also caps the attempts), lastStamp is the
+	// re-admission stamp (the last sealed epoch's) and recovered counts the
+	// successful recoveries.
 	respawn   func(shard int) (*net.Conn, error)
 	lastStamp codec.Stamp
-	attempts  []int
 	recovered int64
-	stash     []hubRec
 	// Running totals behind Stat; owned by the session goroutine.
 	pushes, rejected    int64
 	changed, deltaBytes int64
@@ -81,53 +82,72 @@ type Coordinator struct {
 	statp atomic.Pointer[codec.Stat]
 }
 
-// NewCoordinator seals epoch 0 over the hub: g, assign and b are the
-// epoch-0 run's graph, assignment and assembled value vector (the
-// coordinator takes copies of assign and b). It broadcasts the epoch-0
-// stamp and collects every worker's verify echo, so a returned Coordinator
-// means all P oracles agree with the run bit for bit.
-func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Partitioner, b []float64) (*Coordinator, error) {
-	p := hub.P()
+// NewCoordinator opens a session over the hub: it drives the epoch-0 run
+// spec describes (asking the workers for their values), assembles the
+// run's value vector and seals it as epoch 0 — it broadcasts the epoch-0 stamp and
+// collects every worker's verify echo, so a returned Coordinator means all
+// P oracles agree with the run bit for bit. g and assign are the run's
+// graph and assignment (the coordinator copies assign); spec.Trace also
+// records the coordinator's epoch and publish spans.
+//
+// When spec arms recovery (Recover with a Respawn), the same respawn serves
+// session-level recovery (DESIGN.md §13): a worker fault during an epoch
+// seal is answered by respawning the worker and re-admitting it with the
+// last sealed epoch's stamp instead of latching the session broken. The
+// respawned worker recomputes its state from the current committed graph —
+// sessions run Λ = ℝ with an exact incremental oracle, so the recomputation
+// is bit-identical to the state the dead worker held — which is why no
+// state ships. Faults during the epoch-0 seal itself stay fatal.
+func NewCoordinator(hub *net.Hub, spec net.Spec, g *graph.Graph, assign []int, part shard.Partitioner) (*Coordinator, error) {
 	switch {
 	case len(assign) != g.N():
 		return nil, fmt.Errorf("session: assignment covers %d nodes, graph has %d", len(assign), g.N())
-	case len(b) != g.N():
-		return nil, fmt.Errorf("session: values cover %d nodes, graph has %d", len(b), g.N())
 	case part == nil:
 		return nil, fmt.Errorf("session: coordinator needs the partitioner for epoch rebalances")
 	}
+	spec.WantValues = true
+	met, rep, err := hub.Run(spec)
+	if err != nil {
+		return nil, err
+	}
+	b, err := rep.Assemble(g.N())
+	if err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
-		hub: hub, g: g, part: part, p: p,
+		hub: hub, g: g, part: part, p: hub.P(),
 		assign: append([]int(nil), assign...),
-		b:      append([]float64(nil), b...),
+		b:      b,
 		subs:   NewSubManager(),
+		trace:  spec.Trace,
+		met:    met,
+		rep:    rep,
 	}
 	c.gh, c.pd, c.vd = g.Fingerprint(), shard.PartitionDigest(c.assign), ValuesDigest(c.b)
 	c.chain = ChainNext(0, c.gh, c.pd, c.vd)
 	st := codec.Stamp{Epoch: 0, GraphHash: c.gh, PartDigest: c.pd, ValuesDigest: c.vd, ChainDigest: c.chain}
-	if err := c.broadcastStamp(st); err != nil {
-		return nil, c.fail(0, "stamp-broadcast", err)
+	stamp := codec.AppendStamp(nil, st)
+	for i := 0; i < c.p; i++ {
+		if err := c.sendTo(i, net.RecValuesDigest, stamp); err != nil {
+			return nil, c.fail(0, "stamp-broadcast", err)
+		}
 	}
 	if err := c.collectEchoes(st, nil, nil); err != nil {
 		return nil, c.fail(0, "stamp-echo", err)
+	}
+	if spec.Recover {
+		c.respawn = spec.Respawn
 	}
 	c.lastStamp = st
 	c.publishStat()
 	return c, nil
 }
 
-// EnableRecovery arms session-level crash recovery (DESIGN.md §13): a
-// worker fault during an epoch seal is answered by respawning the worker
-// and re-admitting it with the last sealed epoch's stamp instead of
-// latching the session broken. The respawned worker recomputes its state
-// from the current committed graph — sessions run Λ = ℝ with an exact
-// incremental oracle, so the recomputation is bit-identical to the state
-// the dead worker held — which is why no state ships. respawn is called
-// from the session-owning goroutine. Epoch-0 faults (NewCoordinator) stay
-// fatal: recovery can only be armed on a sealed session.
-func (c *Coordinator) EnableRecovery(respawn func(shard int) (*net.Conn, error)) {
-	c.respawn = respawn
-}
+// Metrics returns the epoch-0 run's dist.Metrics.
+func (c *Coordinator) Metrics() dist.Metrics { return c.met }
+
+// Report returns the epoch-0 run's cluster report.
+func (c *Coordinator) Report() *net.Report { return c.rep }
 
 // Recoveries returns the number of worker crash recoveries this session has
 // performed.
@@ -135,50 +155,6 @@ func (c *Coordinator) Recoveries() int64 { return c.recovered }
 
 // recoverable reports whether worker death is survivable.
 func (c *Coordinator) recoverable() bool { return c.respawn != nil }
-
-// hubRec is one deferred hub record (see stash).
-type hubRec struct {
-	from int
-	typ  byte
-	body []byte
-	err  error
-}
-
-// maxRecoveries caps recovery attempts per worker per session, so a crash
-// loop eventually breaks the session instead of respawning forever.
-const maxRecoveries = 8
-
-// nextRec receives one record for a collect loop: stashed records drain
-// FIFO before the hub is touched again, so per-worker order holds across a
-// recovery exchange.
-func (c *Coordinator) nextRec() (int, byte, []byte, error) {
-	if len(c.stash) > 0 {
-		r := c.stash[0]
-		c.stash = c.stash[1:]
-		return r.from, r.typ, r.body, r.err
-	}
-	return c.hub.Next()
-}
-
-// awaitFrom receives the next record from worker w specifically, stashing
-// whatever other workers interleave (their reconverges, echoes and even
-// deaths are deferred, not lost).
-func (c *Coordinator) awaitFrom(w int) (byte, []byte, error) {
-	for i, r := range c.stash {
-		if r.from == w {
-			c.stash = append(c.stash[:i], c.stash[i+1:]...)
-			return r.typ, r.body, r.err
-		}
-	}
-	for {
-		from, typ, body, err := c.hub.Next()
-		if from != w && from >= 0 {
-			c.stash = append(c.stash, hubRec{from: from, typ: typ, body: body, err: err})
-			continue
-		}
-		return typ, body, err
-	}
-}
 
 // recoverWorker respawns worker w and re-admits it: the fresh connection
 // replaces the dead one in the hub, the last sealed epoch's stamp goes out
@@ -189,22 +165,12 @@ func (c *Coordinator) recoverWorker(w int) error {
 	if !c.recoverable() {
 		return fmt.Errorf("session: worker %d died and recovery is not armed", w)
 	}
-	if c.attempts == nil {
-		c.attempts = make([]int, c.p)
-	}
-	if c.attempts[w]++; c.attempts[w] > maxRecoveries {
-		return fmt.Errorf("session: worker %d died %d times; giving up", w, c.attempts[w])
-	}
 	sp := c.trace.Begin(obs.PhaseRecover, c.epoch, w)
 	defer sp.End()
-	cn, err := c.respawn(w)
+	cn, err := c.hub.Respawn(w, c.respawn)
 	if err != nil {
-		return fmt.Errorf("session: respawning worker %d: %w", w, err)
+		return err
 	}
-	// Close the dead incarnation's conn (its reader's final error is
-	// generation-filtered by the hub) and swap in the replacement.
-	c.hub.Conn(w).Close()
-	c.hub.Replace(w, cn)
 	st := c.lastStamp
 	if err := cn.WriteRecord(net.RecEpochResume, codec.AppendStamp(nil, st)); err != nil {
 		return fmt.Errorf("session: re-admitting worker %d: %w", w, err)
@@ -212,7 +178,7 @@ func (c *Coordinator) recoverWorker(w int) error {
 	if err := cn.Flush(); err != nil {
 		return fmt.Errorf("session: re-admitting worker %d: %w", w, err)
 	}
-	typ, body, err := c.awaitFrom(w)
+	typ, body, err := c.hub.NextFrom(w)
 	if err != nil {
 		return fmt.Errorf("session: re-admitting worker %d: %w", w, err)
 	}
@@ -244,7 +210,7 @@ func (c *Coordinator) redoEpoch(w, epoch int, push []byte, st codec.Stamp, want 
 	if err := cn.Flush(); err != nil {
 		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
 	}
-	typ, body, err := c.awaitFrom(w)
+	typ, body, err := c.hub.NextFrom(w)
 	if err != nil {
 		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
 	}
@@ -275,10 +241,6 @@ func (c *Coordinator) redoEpoch(w, epoch int, push []byte, st codec.Stamp, want 
 	}
 	return nil
 }
-
-// SetTracer installs (or, with nil, removes) the tracer subsequent pushes
-// record their epoch and publish spans into.
-func (c *Coordinator) SetTracer(t *obs.Tracer) { c.trace = t }
 
 // Push absorbs one delta batch as the next epoch: broadcast, collect every
 // worker's reconverge, seal with a stamp, publish notifications. A batch
@@ -381,21 +343,6 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	}, nil
 }
 
-// soleLaggard attributes a from-less fault (a timeout) to the only worker
-// still owed a record, or -1 when the blame cannot land on exactly one.
-func soleLaggard(got []bool) int {
-	cand, lagging := -1, 0
-	for i, g := range got {
-		if !g {
-			cand, lagging = i, lagging+1
-		}
-	}
-	if lagging == 1 {
-		return cand
-	}
-	return -1
-}
-
 // collectReconverges gathers one reconverge per worker, verifying digests,
 // epoch, post-rebalance ownership and duplicate-freedom. It returns the
 // merged change set ascending by node plus each worker's own slice (what a
@@ -408,12 +355,9 @@ func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, next []int, p
 	byWorker := make([][]ValueChange, c.p)
 	got := make([]bool, c.p)
 	for n := 0; n < c.p; {
-		from, typ, body, err := c.nextRec()
+		from, typ, body, err := c.hub.Next()
 		if err != nil {
-			w := from
-			if w < 0 {
-				w = soleLaggard(got)
-			}
+			w := c.hub.Blame(from, func(i int) bool { return !got[i] })
 			if w < 0 || !c.recoverable() {
 				return nil, nil, faultOf(from, err)
 			}
@@ -486,21 +430,6 @@ func (c *Coordinator) sendTo(i int, typ byte, body []byte) error {
 	return nil
 }
 
-// broadcast writes one record to every worker (no recovery — used by the
-// epoch-0 seal and the goodbye).
-func (c *Coordinator) broadcast(typ byte, body []byte) error {
-	for i := 0; i < c.p; i++ {
-		if err := c.sendTo(i, typ, body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Coordinator) broadcastStamp(st codec.Stamp) error {
-	return c.broadcast(net.RecValuesDigest, codec.AppendStamp(nil, st))
-}
-
 // collectEchoes demands every worker's byte-identical stamp echo. With
 // recovery armed (push non-nil), a worker fault is answered by recovering
 // the worker and walking it through a private epoch redo; its echo then
@@ -508,12 +437,9 @@ func (c *Coordinator) broadcastStamp(st codec.Stamp) error {
 func (c *Coordinator) collectEchoes(want codec.Stamp, push []byte, byWorker [][]ValueChange) error {
 	got := make([]bool, c.p)
 	for n := 0; n < c.p; {
-		from, typ, body, err := c.nextRec()
+		from, typ, body, err := c.hub.Next()
 		if err != nil {
-			w := from
-			if w < 0 {
-				w = soleLaggard(got)
-			}
+			w := c.hub.Blame(from, func(i int) bool { return !got[i] })
 			if w < 0 || push == nil || !c.recoverable() {
 				return faultOf(from, err)
 			}

@@ -29,6 +29,14 @@
 // fresh sequential runs on the cumulatively mutated graph, and any
 // divergence kills the session at the epoch that introduced it.
 //
+// The runtime beneath the protocol is internal/net's: Open launches its
+// workers with net.Launch, and the Coordinator receives, blames and
+// respawns through the net.Hub the epoch-0 run used. Every worker —
+// in-process or a cmd/cluster -session process — lives ServeWorker: the
+// epoch-0 run, then the epoch loop. A respawned worker (DESIGN.md §13)
+// recomputes its state from the committed graph and enters the same loop
+// through the resume stamp instead of the epoch-0 one.
+//
 // Sessions run the exact threshold set Λ = ℝ only: the Maintainer repairs
 // exact β_t histories and bit-equality with fresh runs additionally needs
 // exactly summable weights (unit weights qualify; see NewWorkerState).

@@ -30,19 +30,29 @@ var sessionKillPhases = []obs.Phase{obs.PhaseRepair, obs.PhaseRebalance}
 // killWorkerAt builds the Options.kill hook: a one-shot fault that fires
 // for worker target at (phase, epoch) exactly once across all incarnations.
 func killWorkerAt(target int, ph obs.Phase, epoch int) func(int) net.KillFunc {
+	return killWorkersAt([]int{target}, ph, epoch)
+}
+
+// killWorkersAt is killWorkerAt for a set of workers: each target dies once
+// at (phase, epoch), so one epoch sees len(targets) deaths.
+func killWorkersAt(targets []int, ph obs.Phase, epoch int) func(int) net.KillFunc {
 	var mu sync.Mutex
-	fired := false
+	fired := make(map[int]bool)
 	return func(w int) net.KillFunc {
+		target := false
+		for _, t := range targets {
+			target = target || t == w
+		}
 		return func(p obs.Phase, e int) bool {
-			if w != target || p != ph || e != epoch {
+			if !target || p != ph || e != epoch {
 				return false
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if fired {
+			if fired[w] {
 				return false
 			}
-			fired = true
+			fired[w] = true
 			return true
 		}
 	}
@@ -116,14 +126,33 @@ func TestSessionRecoverySweep(t *testing.T) {
 	}
 	ref.Close()
 
+	// Every single worker, then every pair dying in the same epoch: the
+	// second death lands while the first recovery's exchanges are stashing
+	// the other workers' records.
+	var kills [][]int
 	for w := 0; w < p; w++ {
+		kills = append(kills, []int{w})
+	}
+	for a := 0; a < p; a++ {
+		for b := a + 1; b < p; b++ {
+			kills = append(kills, []int{a, b})
+		}
+	}
+	for _, ws := range kills {
+		name := ""
+		for i, w := range ws {
+			if i > 0 {
+				name += "+"
+			}
+			name += "w" + string(rune('0'+w))
+		}
 		for _, ph := range sessionKillPhases {
-			t.Run(obs.Phase.String(ph)+"/w"+string(rune('0'+w)), func(t *testing.T) {
-				s := open(killWorkerAt(w, ph, 2))
+			t.Run(obs.Phase.String(ph)+"/"+name, func(t *testing.T) {
+				s := open(killWorkersAt(ws, ph, 2))
 				defer s.Close()
 				got := driveEpochs(t, s, deltas)
-				if rec := s.Recoveries(); rec < 1 {
-					t.Fatalf("kill point never recovered (recoveries=%d)", rec)
+				if rec := s.Recoveries(); rec < int64(len(ws)) {
+					t.Fatalf("kill points never recovered (recoveries=%d, kills=%d)", rec, len(ws))
 				}
 				if !reflect.DeepEqual(got.chains, want.chains) {
 					t.Errorf("chain digests %#x, want %#x", got.chains, want.chains)

@@ -1,10 +1,7 @@
 package session
 
 import (
-	"errors"
 	"fmt"
-	stdnet "net"
-	"sync"
 	"time"
 
 	"distkcore/internal/codec"
@@ -56,19 +53,15 @@ type Options struct {
 // with the subscription layer driven directly (Subscribe/Ledger) instead of
 // over a control socket. Not safe for concurrent use.
 type Session struct {
-	co      *Coordinator
-	hub     *net.Hub
-	conns   []*net.Conn
-	cleanup func()
-	wg      sync.WaitGroup
-	met     dist.Metrics
-	rep     *net.Report
-	closed  bool
+	co     *Coordinator
+	hub    *net.Hub
+	cl     *net.Cluster
+	closed bool
 }
 
-// Open dials P in-process workers, runs epoch 0 (a full coordinated run,
-// byte-identical to dist.SeqEngine's) and seals it into the digest chain.
-// The returned session owns the connections; Close it.
+// Open launches P in-process workers (net.Launch), runs epoch 0 (a full
+// coordinated run, byte-identical to dist.SeqEngine's) and seals it into
+// the digest chain. The returned session owns the connections; Close it.
 func Open(g *graph.Graph, opt Options) (*Session, error) {
 	p := opt.P
 	if p < 1 {
@@ -82,174 +75,115 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	if part == nil {
 		part = shard.Hash{}
 	}
-	assign := part.Partition(g, p)
-	if len(assign) != g.N() {
-		return nil, fmt.Errorf("session: partitioner %s returned %d assignments for %d nodes", part.Name(), len(assign), g.N())
-	}
-	for v, sh := range assign {
-		if sh < 0 || sh >= p {
-			return nil, fmt.Errorf("session: partitioner %s assigned node %d to shard %d (p=%d)", part.Name(), v, sh, p)
-		}
-	}
-	coord, workers, cleanup, err := net.DialCluster(opt.Transport, p)
+	assign, err := shard.Place(part, g, p)
 	if err != nil {
 		return nil, err
 	}
-	if opt.IOTimeout > 0 {
-		for i := 0; i < p; i++ {
-			coord[i].SetIOTimeout(opt.IOTimeout)
-			workers[i].SetIOTimeout(opt.IOTimeout)
-		}
-	}
-
-	s := &Session{conns: coord, cleanup: cleanup}
-	// spawn runs one worker goroutine over c from fn, suppressing the
-	// fault-injection sentinel: a killed worker dies silently (its conn is
-	// already closed), everything else aborts the session with its reason —
-	// a panic anywhere in the worker stack (Worker.Run converts protocol
-	// errors into panics) must never hang the coordinator.
-	spawn := func(idx int, c *net.Conn, fn func() error) {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer c.Close()
-			defer func() {
-				if r := recover(); r != nil {
-					if e2, ok := r.(error); ok && errors.Is(e2, net.ErrKilled) {
-						return
-					}
-					c.SendError(fmt.Errorf("session worker panic: %v", r))
-				}
-			}()
-			if err := fn(); err != nil && !errors.Is(err, net.ErrKilled) {
-				c.SendError(err)
-			}
-		}()
-	}
-	// Epoch 0 streams its rounds over an in-process mesh, exactly like
-	// net.Engine's runs; every epoch-0 incarnation, respawns included,
-	// joins it once, in spawn order (the Spec.Respawn generation contract).
-	mesh := net.NewLocalMesh(p)
-	spawnRun := func(idx int, wc *net.Conn) {
-		w := net.NewWorker(wc, g, assign)
-		w.Part = part
-		w.Trace = opt.Trace
-		w.IOTimeout = opt.IOTimeout
+	s := &Session{}
+	// Every incarnation of a worker runs the same body. Until epoch 0 is
+	// sealed that is the whole worker life — handshake, (checkpoint-
+	// restored) run, serve loop; afterwards a respawn recomputes its state
+	// from the coordinator's committed graph and assignment — read here, at
+	// respawn time, so a recovery mid-epoch e restores to the sealed epoch
+	// e-1 — and joins the serve loop through the resume admission.
+	s.cl, err = net.Launch(opt.Transport, p, opt.IOTimeout, func(idx int, c *net.Conn) (*net.Worker, func() error) {
+		var kill net.KillFunc
 		if opt.kill != nil {
-			w.Kill = opt.kill(idx)
+			kill = opt.kill(idx)
 		}
-		mesh.Join(w, idx)
-		spawn(idx, wc, func() error { return serveInProcessWorker(wc, w, g, assign, idx, p, T, part) })
+		if co := s.co; co != nil {
+			g2, as2 := co.g, co.assign
+			return nil, func() error { return resumeWorker(c, g2, as2, idx, p, T, part, opt.Trace, kill) }
+		}
+		w := net.NewWorker(c, g, assign)
+		w.Part, w.Trace, w.IOTimeout, w.Kill = part, opt.Trace, opt.IOTimeout, kill
+		return w, func() error {
+			_, err := ServeWorker(c, w, g, assign, T, part)
+			return err
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < p; i++ {
-		spawnRun(i, workers[i])
-	}
-
-	hub := net.NewHub(coord)
-	s.hub = hub
+	s.hub = net.NewHub(s.cl.Conns())
 	spec := net.Spec{
 		P:          p,
 		MaxRounds:  T,
 		GraphHash:  g.Fingerprint(),
 		PartDigest: shard.PartitionDigest(assign),
-		WantValues: true,
 		IOTimeout:  opt.IOTimeout,
 		Trace:      opt.Trace,
 	}
-	// respawnConn builds a fresh in-process pipe to a replacement worker
-	// goroutine started by run; both the epoch-0 net-layer recovery and the
-	// session-layer epoch recovery funnel through it.
-	respawnConn := func(run func(idx int, wc *net.Conn)) func(int) (*net.Conn, error) {
-		return func(idx int) (*net.Conn, error) {
-			a, b := stdnet.Pipe()
-			cc, wc := net.NewConn(a), net.NewConn(b)
-			if opt.IOTimeout > 0 {
-				cc.SetIOTimeout(opt.IOTimeout)
-				wc.SetIOTimeout(opt.IOTimeout)
-			}
-			run(idx, wc)
-			return cc, nil
-		}
-	}
 	if opt.Recover {
 		spec.Recover = true
-		// An epoch-0 respawn replays the whole worker life: handshake,
-		// checkpoint-restored run, then the session serve loop.
-		spec.Respawn = respawnConn(spawnRun)
+		spec.Respawn = s.cl.Respawn
 	}
-	met, rep, err := hub.Run(spec)
+	co, err := NewCoordinator(s.hub, spec, g, assign, part)
 	if err != nil {
 		s.teardown()
 		return nil, err
-	}
-	b, err := rep.Assemble(g.N())
-	if err != nil {
-		s.teardown()
-		return nil, err
-	}
-	s.met, s.rep = met, rep
-	co, err := NewCoordinator(hub, g, assign, part, b)
-	if err != nil {
-		s.teardown()
-		return nil, err
-	}
-	co.SetTracer(opt.Trace)
-	if opt.Recover {
-		// Session-layer recovery: the respawned worker recomputes its state
-		// from the coordinator's committed graph and assignment — read at
-		// respawn time, so a recovery mid-epoch-e restores to the sealed
-		// epoch e-1 — and joins via ServeResumed.
-		co.EnableRecovery(respawnConn(func(idx int, wc *net.Conn) {
-			g2, as2 := co.g, co.assign
-			spawn(idx, wc, func() error {
-				return serveResumedWorker(wc, g2, as2, idx, p, T, part, opt.Trace, opt.kill)
-			})
-		}))
 	}
 	s.co = co
+	// From here on every respawn resumes from the committed graph; drop the
+	// spawn body's hold on the epoch-0 inputs so the launcher does not pin
+	// them for the session's life.
+	g, assign = nil, nil
 	return s, nil
 }
 
-// serveInProcessWorker is one worker goroutine's whole life on c:
-// handshake and epoch-0 run on w (exactly what cmd/cluster's worker does),
-// ship values, build the session state, serve epochs until Bye. The run
-// drops w's mesh before the epochs start.
-func serveInProcessWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, idx, p, T int, part shard.Partitioner) error {
-	h, err := net.ReadHello(c)
-	if err != nil {
-		return err
+// ServeWorker is a session worker's whole life from the handshake on, over
+// c with w as its run engine: the epoch-0 run (Λ = ℝ), the shard's values
+// shipped, the session state built and cross-checked against the run, then
+// the epoch loop until the coordinator says goodbye. Open's in-process
+// workers and cmd/cluster's -session workers both run it. The hello is read
+// from c unless the caller pre-read it into w.Hello; w's Trace and Kill
+// carry over to the epoch loop. The returned state (nil when the worker
+// never got past the run) reports where the session ended.
+func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, T int, part shard.Partitioner) (*WorkerState, error) {
+	if w.Hello == nil {
+		h, err := net.ReadHello(c)
+		if err != nil {
+			return nil, err
+		}
+		w.Hello = h
 	}
-	w.Hello = h
+	h := w.Hello
+	switch {
+	case h.DeltaDigest != 0:
+		return nil, fmt.Errorf("session: sessions open on an unchurned run; churn streams in afterwards")
+	case h.LamKind != codec.LamReals:
+		return nil, fmt.Errorf("session: sessions require the exact threshold set Λ = ℝ")
+	}
 	res, _ := core.RunDistributed(g, core.Options{Rounds: T}, w)
-	if err := w.SendValues(res.B); err != nil {
-		return err
+	if h.WantValues {
+		if err := w.SendValues(res.B); err != nil {
+			return nil, err
+		}
 	}
-	ws, err := NewWorkerState(c, g, assign, idx, p, T, part, res.B)
+	ws, err := NewWorkerState(c, g, assign, h.Shard, h.P, T, part, res.B)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ws.SetTracer(w.Trace)
 	ws.Kill = w.Kill
-	return ws.ServeEpochs()
+	return ws, ws.serve(false)
 }
 
-// serveResumedWorker is a crash-recovered session worker's life (DESIGN.md
-// §13): rebuild the oracle from the committed graph and assignment — the
-// exact incremental oracle under Λ = ℝ makes the recomputed state
-// bit-identical to what the dead incarnation held at the last seal, so no
-// state ships — then verify and echo the re-admission stamp and join the
-// epoch loop. runB is nil: there is no fresh run to cross-check against;
-// the resume stamp's values digest is the admission check instead.
-func serveResumedWorker(c *net.Conn, g *graph.Graph, assign []int, idx, p, T int, part shard.Partitioner, tr *obs.Tracer, kill func(int) net.KillFunc) error {
+// resumeWorker is a crash-recovered session worker's life (DESIGN.md §13):
+// rebuild the oracle from the committed graph and assignment — the exact
+// incremental oracle under Λ = ℝ makes the recomputed state bit-identical
+// to what the dead incarnation held at the last seal, so no state ships —
+// then pass the resume admission and join the epoch loop. runB is nil:
+// there is no fresh run to cross-check against; the resume stamp's values
+// digest is the admission check instead.
+func resumeWorker(c *net.Conn, g *graph.Graph, assign []int, idx, p, T int, part shard.Partitioner, tr *obs.Tracer, kill net.KillFunc) error {
 	ws, err := NewWorkerState(c, g, assign, idx, p, T, part, nil)
 	if err != nil {
 		return err
 	}
 	ws.SetTracer(tr)
-	if kill != nil {
-		ws.Kill = kill(idx)
-	}
-	return ws.ServeResumed()
+	ws.Kill = kill
+	return ws.serve(true)
 }
 
 // Push streams one delta batch as the next epoch (see Coordinator.Push for
@@ -285,7 +219,7 @@ func (s *Session) ChainDigest() uint64 { return s.co.ChainDigest() }
 func (s *Session) Digests() (graphHash, partDigest, valuesDigest uint64) { return s.co.Digests() }
 
 // Metrics returns the epoch-0 run's dist.Metrics.
-func (s *Session) Metrics() dist.Metrics { return s.met }
+func (s *Session) Metrics() dist.Metrics { return s.co.Metrics() }
 
 // Recoveries returns the number of worker crash recoveries performed since
 // the session opened (epoch-level ones; epoch-0 run recoveries are counted
@@ -293,7 +227,7 @@ func (s *Session) Metrics() dist.Metrics { return s.met }
 func (s *Session) Recoveries() int64 { return s.co.Recoveries() }
 
 // Report returns the epoch-0 run's cluster report.
-func (s *Session) Report() *net.Report { return s.rep }
+func (s *Session) Report() *net.Report { return s.co.Report() }
 
 // Err returns the error that broke the session, nil while it is live (a
 // break from a seal in flight is a *BreakCause — see Cause).
@@ -316,27 +250,15 @@ func (s *Session) Close() error {
 	if s.co != nil {
 		s.co.Bye()
 	}
-	s.wg.Wait()
-	s.teardownConns()
+	s.cl.Wait()
+	s.teardown()
 	return nil
 }
 
-// teardown is the failed-Open path: no Bye owed (the run itself failed and
-// error records are already in flight), just release everything.
+// teardown releases the connections, the workers and the hub readers. On
+// the failed-Open path no Bye is owed: the run itself failed and error
+// records are already in flight.
 func (s *Session) teardown() {
-	s.teardownConns()
-	s.wg.Wait()
-}
-
-func (s *Session) teardownConns() {
-	for _, c := range s.conns {
-		c.Close()
-	}
-	if s.hub != nil {
-		s.hub.Close()
-	}
-	if s.cleanup != nil {
-		s.cleanup()
-		s.cleanup = nil
-	}
+	s.cl.Close()
+	s.hub.Close()
 }

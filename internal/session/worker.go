@@ -16,7 +16,7 @@ import (
 // WorkerState is the worker side of a session after its epoch-0 run: the
 // full graph and assignment (like net.Worker, every worker holds the whole
 // graph and owns one shard of it), a dynamic.Maintainer as the incremental
-// oracle, and the digest chain. Drive it with ServeEpochs on the same
+// oracle, and the digest chain. ServeWorker drives it on the same
 // connection the run used.
 type WorkerState struct {
 	// Kill, when non-nil, is the fault-injection hook of the recovery test
@@ -82,9 +82,8 @@ func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T in
 // epoch repair and rebalance spans record into.
 func (w *WorkerState) SetTracer(t *obs.Tracer) { w.trace = t }
 
-// ServeEpochs runs the worker's session loop until a Bye or an error. The
-// first record must be the coordinator's epoch-0 stamp, which seals the run
-// into the digest chain; then every DeltaPush advances one epoch:
+// serve runs the worker's session loop until a Bye or an error. It opens
+// with the admission (admit); then every DeltaPush advances one epoch:
 //
 //	apply the batch (canonical order) → Maintainer frontier repair →
 //	incremental Rebalance → ship own-shard changed values → verify and
@@ -95,34 +94,11 @@ func (w *WorkerState) SetTracer(t *obs.Tracer) { w.trace = t }
 // Waits for the next epoch go through AwaitRecord (idleness is not death);
 // the intra-epoch stamp read is deadline-armed when the connection has an
 // IO timeout, because mid-epoch silence is.
-func (w *WorkerState) ServeEpochs() error {
-	if err := w.sealEpochZero(); err != nil {
+func (w *WorkerState) serve(resume bool) error {
+	if err := w.admit(resume); err != nil {
 		w.c.SendError(err)
 		return err
 	}
-	return w.serveLoop()
-}
-
-// ServeResumed is the serve loop of a respawned session worker (DESIGN.md
-// §13): instead of an epoch-0 stamp, the first record must be the
-// coordinator's RecEpochResume carrying the stamp of the last sealed epoch.
-// The worker holds *recomputed* state — the caller built it from the
-// current committed graph and assignment, so the oracle is already at the
-// sealed values (derived-state recovery ships no state) — verifies the
-// stamp's graph/partition/values digests against that state, adopts the
-// epoch number and chain digest, echoes the stamp byte-identically as its
-// re-admission proof, and joins the ordinary epoch loop.
-func (w *WorkerState) ServeResumed() error {
-	if err := w.sealResume(); err != nil {
-		w.c.SendError(err)
-		return err
-	}
-	return w.serveLoop()
-}
-
-// serveLoop is the steady-state epoch loop shared by fresh and resumed
-// workers.
-func (w *WorkerState) serveLoop() error {
 	for {
 		typ, body, err := w.c.AwaitRecord()
 		if err != nil {
@@ -146,33 +122,43 @@ func (w *WorkerState) serveLoop() error {
 	}
 }
 
-// sealResume reads, verifies and echoes the re-admission stamp. The chain
-// digest cannot be re-derived from the graph alone (it folds the whole
-// epoch history), so the worker verifies what IS derivable — graph,
-// partition and values digests — and adopts the coordinator's chain; every
-// subsequent epoch then re-verifies the chain extension as usual.
-func (w *WorkerState) sealResume() error {
+// admit reads, verifies and echoes the stamp that admits the worker to the
+// epoch loop. A fresh worker gets the epoch-0 stamp (RecValuesDigest),
+// which must seal epoch 0 with no changes and whose chain digest the worker
+// derives itself. A respawned worker (DESIGN.md §13) gets the resume stamp
+// (RecEpochResume) of the last sealed epoch: its state was recomputed from
+// the committed graph, which re-derives the graph, partition and values
+// digests but not the chain — that folds the whole epoch history — so it
+// adopts the stamp's chain and epoch, and every later epoch re-verifies the
+// chain's extension as usual. The echo is the admission proof.
+func (w *WorkerState) admit(resume bool) error {
+	want, what := net.RecValuesDigest, "epoch-0 stamp"
+	if resume {
+		want, what = net.RecEpochResume, "resume stamp"
+	}
 	typ, body, err := w.c.AwaitRecord()
 	if err != nil {
-		return fmt.Errorf("session: worker awaiting resume stamp: %w", err)
+		return fmt.Errorf("session: worker awaiting %s: %w", what, err)
 	}
-	if typ != net.RecEpochResume {
-		return fmt.Errorf("session: expected resume stamp, got record type %d", typ)
+	if typ != want {
+		return fmt.Errorf("session: expected %s, got record type %d", what, typ)
 	}
 	st, _, err := codec.DecodeStamp(body)
 	if err != nil {
 		return err
 	}
 	gh, pd, vd := w.g.Fingerprint(), shard.PartitionDigest(w.assign), ValuesDigest(w.prev)
-	switch {
-	case st.GraphHash != gh:
-		return fmt.Errorf("session: resume at epoch %d: graph fingerprint mismatch (stamp %#x, recomputed %#x)", st.Epoch, st.GraphHash, gh)
-	case st.PartDigest != pd:
-		return fmt.Errorf("session: resume at epoch %d: partition digest mismatch (stamp %#x, recomputed %#x)", st.Epoch, st.PartDigest, pd)
-	case st.ValuesDigest != vd:
-		return fmt.Errorf("session: resume at epoch %d: values digest mismatch (stamp %#x, recomputed %#x)", st.Epoch, st.ValuesDigest, vd)
+	chain := st.ChainDigest
+	if !resume {
+		if st.Epoch != 0 || st.Changed != 0 {
+			return fmt.Errorf("session: epoch-0 stamp claims epoch %d with %d changes", st.Epoch, st.Changed)
+		}
+		chain = ChainNext(0, gh, pd, vd)
 	}
-	w.epoch, w.chain = st.Epoch, st.ChainDigest
+	if err := verifyStamp(st, gh, pd, vd, chain); err != nil {
+		return err
+	}
+	w.epoch, w.chain = st.Epoch, chain
 	return w.echoStamp(st)
 }
 
@@ -184,29 +170,6 @@ func (w *WorkerState) killed(phase obs.Phase, epoch int) bool {
 		return true
 	}
 	return false
-}
-
-// sealEpochZero reads, verifies and echoes the epoch-0 stamp.
-func (w *WorkerState) sealEpochZero() error {
-	typ, body, err := w.c.AwaitRecord()
-	if err != nil {
-		return fmt.Errorf("session: worker awaiting epoch-0 stamp: %w", err)
-	}
-	if typ != net.RecValuesDigest {
-		return fmt.Errorf("session: expected epoch-0 stamp, got record type %d", typ)
-	}
-	st, _, err := codec.DecodeStamp(body)
-	if err != nil {
-		return err
-	}
-	if st.Epoch != 0 || st.Changed != 0 {
-		return fmt.Errorf("session: epoch-0 stamp claims epoch %d with %d changes", st.Epoch, st.Changed)
-	}
-	if err := w.verifyStamp(st, 0, w.g.Fingerprint(), shard.PartitionDigest(w.assign), ValuesDigest(w.prev)); err != nil {
-		return err
-	}
-	w.chain = st.ChainDigest
-	return w.echoStamp(st)
 }
 
 // epochStep advances one epoch from a DeltaPush body.
@@ -289,7 +252,8 @@ func (w *WorkerState) epochStep(body []byte) error {
 	if st.Changed != changed {
 		return fmt.Errorf("session: epoch %d stamp counts %d changes, oracle saw %d", epoch, st.Changed, changed)
 	}
-	if err := w.verifyStamp(st, w.chain, gh, pd, ValuesDigest(cur)); err != nil {
+	vd := ValuesDigest(cur)
+	if err := verifyStamp(st, gh, pd, vd, ChainNext(w.chain, gh, pd, vd)); err != nil {
 		return err
 	}
 	if err := w.echoStamp(st); err != nil {
@@ -305,7 +269,7 @@ func (w *WorkerState) epochStep(body []byte) error {
 
 // verifyStamp checks a stamp's digests against locally derived state and
 // advances nothing.
-func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain, gh, pd, vd uint64) error {
+func verifyStamp(st codec.Stamp, gh, pd, vd, chain uint64) error {
 	switch {
 	case st.GraphHash != gh:
 		return fmt.Errorf("session: epoch %d graph fingerprint mismatch (stamp %#x, worker %#x)", st.Epoch, st.GraphHash, gh)
@@ -314,7 +278,7 @@ func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain, gh, pd, vd uint64) 
 	case st.ValuesDigest != vd:
 		return fmt.Errorf("session: epoch %d values digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.ValuesDigest, vd)
 	}
-	if chain := ChainNext(prevChain, gh, pd, vd); st.ChainDigest != chain {
+	if st.ChainDigest != chain {
 		return fmt.Errorf("session: epoch %d chain digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.ChainDigest, chain)
 	}
 	return nil

@@ -114,10 +114,9 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	if lam == nil {
 		lam = quantize.Reals{}
 	}
-	assign := e.part.Partition(g, p)
-	if len(assign) != g.N() {
-		panic(fmt.Sprintf("shard: partitioner %s returned %d assignments for %d nodes",
-			e.part.Name(), len(assign), g.N()))
+	assign, err := Place(e.part, g, p)
+	if err != nil {
+		panic(err.Error())
 	}
 	if len(e.churn.delta.Ops) > 0 {
 		// Absorb the installed delta (codec round trip, canonical apply,
@@ -133,10 +132,6 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	}
 	shards := make([][]graph.NodeID, p)
 	for v, s := range assign { // ascending v ⇒ ascending IDs within a shard
-		if s < 0 || s >= p {
-			panic(fmt.Sprintf("shard: partitioner %s assigned node %d to shard %d (p=%d)",
-				e.part.Name(), v, s, p))
-		}
 		shards[s] = append(shards[s], v)
 	}
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 
 	"distkcore/internal/graph"
@@ -27,6 +28,23 @@ type Partitioner interface {
 	Rebalance(g *graph.Graph, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int
 	// Name identifies the partitioner in experiment tables and CLI flags.
 	Name() string
+}
+
+// Place runs part over g for p shards and checks that the result is a
+// placement: one shard per node, each in [0, p). Every engine and the
+// session open place nodes through it, so a faulty partitioner is refused
+// the same way everywhere.
+func Place(part Partitioner, g *graph.Graph, p int) ([]int, error) {
+	assign := part.Partition(g, p)
+	if len(assign) != g.N() {
+		return nil, fmt.Errorf("shard: partitioner %s returned %d assignments for %d nodes", part.Name(), len(assign), g.N())
+	}
+	for v, s := range assign {
+		if s < 0 || s >= p {
+			return nil, fmt.Errorf("shard: partitioner %s assigned node %d to shard %d (p=%d)", part.Name(), v, s, p)
+		}
+	}
+	return assign, nil
 }
 
 // PartitionDigest folds a shard assignment into a deterministic 64-bit
